@@ -9,7 +9,6 @@ degree-2 extremal cases, and a runtime positivity check.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +116,3 @@ def validate_caratheodory(p: PowerSeries, radius: float, samples: int) -> bool:
     values = np.polyval(p.coeffs[::-1], z)
     tail = 2.0 * radius ** (p.order + 1) / (1.0 - radius)
     return bool(np.all(values.real > -tail))
-
-
-def unimodular(theta: float) -> complex:
-    """Point e^{i*theta} on the unit circle."""
-    return cmath.exp(1j * theta)

@@ -8,7 +8,8 @@ Subcommands:
   extremal      extremal-function coefficients and equality residual
   gamma         logarithmic coefficients and H_{2,1} by both routes
 
-Exit status: 0 pass, 1 verification failure, 2 usage or range error.
+Exit status: 0 pass, 1 verification failure or failed internal cross-check,
+2 usage or range error.
 Machine output: complex numbers are serialized as [re, im]; JSON output is
 byte-stable for identical configurations (seeds included in the report).
 """
@@ -16,9 +17,11 @@ byte-stable for identical configurations (seeds included in the report).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 from typing import Any
 
@@ -27,16 +30,15 @@ import numpy as np
 from . import __version__
 from .caratheodory import InvalidParameterError
 from .families import (
+    FAMILIES,
     CoeffTriple,
     FamilySpec,
-    Ozaki,
     ParameterRangeError,
-    Robertson,
-    Spirallike,
     extremal_coeffs,
+    family_fields,
     sharp_bound,
 )
-from .hankel import h21, h21_monomial, log_coeffs
+from .hankel import PathMismatchError, h21, h21_monomial, log_coeffs
 from .search import SearchReport, bound_monotonicity, global_max, sweep
 from .ymax import grid_allowance, y_closed_form, y_oracle
 
@@ -53,25 +55,20 @@ def _cx(z: complex) -> list[float]:
 
 
 def _family_from_args(args: argparse.Namespace) -> FamilySpec:
-    if args.family == "spirallike":
-        return Spirallike(alpha=args.alpha, beta=args.beta)
-    if args.family == "ozaki":
-        return Ozaki(nu=args.nu)
-    if args.family == "robertson":
-        return Robertson(lam=args.lam)
-    raise ParameterRangeError(f"unknown family {args.family!r}")
+    cls, names = FAMILIES[args.family]
+    return cls(**{attr: getattr(args, attr) for attr in names.values()})
 
 
-def _family_dict(spec: FamilySpec) -> dict[str, Any]:
-    if isinstance(spec, Spirallike):
-        return {"family": "spirallike", "alpha": spec.alpha, "beta": spec.beta}
-    if isinstance(spec, Ozaki):
-        return {"family": "ozaki", "nu": spec.nu}
-    return {"family": "robertson", "lambda": spec.lam}
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float > 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return tol
 
 
 def _report_row(rep: SearchReport) -> dict[str, Any]:
-    row = _family_dict(rep.family)
+    row = family_fields(rep.family)
     row.update(
         bound=rep.bound,
         max_abs_h21=rep.max_abs_h21,
@@ -98,7 +95,7 @@ def _flatten(row: dict[str, Any]) -> dict[str, Any]:
 
 def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif args.format == "csv":
         rows = [_flatten(r) for r in payload["results"]]
         fields: list[str] = []
@@ -138,7 +135,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     rep = global_max(spec, coarse=args.coarse, refine_rounds=args.refine_rounds)
     ok = GAP_FLOOR <= rep.gap <= args.tol
-    config = _family_dict(spec)
+    config = family_fields(spec)
     config.update(coarse=args.coarse, refine_rounds=args.refine_rounds, tol=args.tol)
     _emit(_payload("verify", config, [_report_row(rep)], ok, rep.gap), args)
     return EXIT_PASS if ok else EXIT_FAIL
@@ -204,9 +201,9 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     value = abs(h21(a))
     residual = abs(value - bound)
     ok = residual <= args.tol
-    config = _family_dict(spec)
+    config = family_fields(spec)
     config["tol"] = args.tol
-    row = _family_dict(spec)
+    row = family_fields(spec)
     row.update(
         a2=_cx(a.a2), a3=_cx(a.a3), a4=_cx(a.a4),
         abs_h21=value, bound=bound, residual=residual,
@@ -228,6 +225,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
             a = CoeffTriple(complex(args.a2), complex(args.a3), complex(args.a4))
         except ValueError as exc:
             raise ParameterRangeError(f"malformed complex literal: {exc}") from exc
+        if not all(cmath.isfinite(z) for z in (a.a2, a.a3, a.a4)):
+            raise ParameterRangeError("a2, a3 and a4 must be finite")
         source = "literal"
     g = log_coeffs(a)
     via_gamma = h21(a, check=False)
@@ -247,8 +246,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--family", choices=["spirallike", "ozaki", "robertson"],
-                        required=required)
+    parser.add_argument("--family", choices=list(FAMILIES), required=required)
     parser.add_argument("--alpha", type=float, default=0.0)
     parser.add_argument("--beta", type=float, default=0.0)
     parser.add_argument("--nu", type=float, default=1.0)
@@ -274,20 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--coarse", type=int, default=128)
     p.add_argument("--refine-rounds", type=int, default=3)
-    p.add_argument("--tol", type=float, default=5e-4)
+    p.add_argument("--tol", type=_tolerance, default=5e-4)
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify over a list of parameter values")
-    p.add_argument("--family", choices=["spirallike", "ozaki", "robertson"],
-                   required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated parameter values (alpha, nu, or lambda)")
     p.add_argument("--beta", type=float, default=0.0,
                    help="fixed beta for spirallike sweeps")
     p.add_argument("--coarse", type=int, default=128)
     p.add_argument("--refine-rounds", type=int, default=3)
-    p.add_argument("--tol", type=float, default=5e-4)
+    p.add_argument("--tol", type=_tolerance, default=5e-4)
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "piecewise disk maximum")
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--radial", type=int, default=512)
     p.add_argument("--angular", type=int, default=2048)
     _add_output_flags(p)
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="extremal coefficients and equality "
                                         "residual")
     _add_family_flags(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     _add_output_flags(p)
     p.set_defaults(func=cmd_extremal)
 
@@ -325,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except PathMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ParameterRangeError, InvalidParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,12 @@
 """The three function families and their coefficient machinery.
 
-Each family is defined by a relation of the form "some expression in
-zf'/f or zf''/f' is a Caratheodory function p".  Coefficients (a2, a3, a4)
-are available through two independent routes:
+The families come in two kinds.  Spirallike functions satisfy
+zf'/f = 1 + k(p - 1) with the complex factor k = (1 - alpha) cos(beta)
+e^{i*beta}.  The curvature classes satisfy zf''/f' = (m/2)(p - 1) with a
+real m: m = -nu for Ozaki's class and m = 2*lambda + 1 for the Robertson
+class.  Every curvature formula below is written once, in m.
+
+Coefficients (a2, a3, a4) are available through two independent routes:
 
 * ``coeffs_closed_form`` -- explicit polynomials in (c1, c2, c3);
 * ``coeffs_ode_oracle``  -- a series-level solve of the defining relation.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Union
 
 from .caratheodory import CTriple
 from .series import DEFAULT_ORDER, PowerSeries, SeriesDomainError, exp_unit, pow_complex
@@ -44,6 +48,11 @@ class Spirallike:
         if not -_HALF_PI < self.beta < _HALF_PI:
             raise ParameterRangeError(f"beta must lie in (-pi/2, pi/2), got {self.beta!r}")
 
+    @property
+    def k(self) -> complex:
+        """k = (1 - alpha) * cos(beta) * e^{i*beta}; then zf'/f = 1 + k(p - 1)."""
+        return (1.0 - self.alpha) * math.cos(self.beta) * cmath.exp(1j * self.beta)
+
 
 @dataclass(frozen=True)
 class Ozaki:
@@ -54,6 +63,11 @@ class Ozaki:
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise ParameterRangeError(f"nu must lie in (0, 1], got {self.nu!r}")
+
+    @property
+    def m(self) -> float:
+        """Curvature parameter: zf''/f' = (m/2)(p - 1) with m = -nu."""
+        return -self.nu
 
 
 @dataclass(frozen=True)
@@ -66,8 +80,27 @@ class Robertson:
         if not 0.5 <= self.lam <= 1.0:
             raise ParameterRangeError(f"lambda must lie in [1/2, 1], got {self.lam!r}")
 
+    @property
+    def m(self) -> float:
+        """Curvature parameter: zf''/f' = (m/2)(p - 1) with m = 2*lambda + 1."""
+        return 2.0 * self.lam + 1.0
+
 
 FamilySpec = Union[Spirallike, Ozaki, Robertson]
+
+#: Family tag -> (class, {CLI/JSON parameter name: attribute}); a sweep
+#: varies the first parameter.
+FAMILIES = {
+    "spirallike": (Spirallike, {"alpha": "alpha", "beta": "beta"}),
+    "ozaki": (Ozaki, {"nu": "nu"}),
+    "robertson": (Robertson, {"lambda": "lam"}),
+}
+
+
+def family_fields(spec: FamilySpec) -> dict[str, Any]:
+    """{"family": tag, <parameter name>: value, ...} in CLI/JSON names."""
+    tag, names = next((t, n) for t, (cls, n) in FAMILIES.items() if cls is type(spec))
+    return {"family": tag, **{name: getattr(spec, attr) for name, attr in names.items()}}
 
 
 @dataclass(frozen=True)
@@ -79,33 +112,20 @@ class CoeffTriple:
     a4: complex
 
 
-def _spiral_factor(spec: Spirallike) -> complex:
-    """k = (1 - alpha) * cos(beta) * e^{i*beta}; then zf'/f = 1 + k(p - 1)."""
-    return (1.0 - spec.alpha) * math.cos(spec.beta) * cmath.exp(1j * spec.beta)
-
-
 def coeffs_closed_form(spec: FamilySpec, c: CTriple) -> CoeffTriple:
     """Coefficients as explicit polynomials in (c1, c2, c3)."""
     c1, c2, c3 = c.c1, c.c2, c.c3
     if isinstance(spec, Spirallike):
-        k = _spiral_factor(spec)
+        k = spec.k
         a2 = k * c1
         a3 = (k * k * c1 * c1 + k * c2) / 2.0
         a4 = (k ** 3 * c1 ** 3 + 3.0 * k * k * c1 * c2 + 2.0 * k * c3) / 6.0
         return CoeffTriple(a2, a3, a4)
-    if isinstance(spec, Ozaki):
-        nu = spec.nu
-        a2 = -nu * c1 / 4.0
-        a3 = nu * (nu * c1 * c1 - 2.0 * c2) / 24.0
-        a4 = nu * (6.0 * nu * c1 * c2 - 8.0 * c3 - nu * nu * c1 ** 3) / 192.0
-        return CoeffTriple(a2, a3, a4)
-    if isinstance(spec, Robertson):
-        m = 2.0 * spec.lam + 1.0
-        a2 = m * c1 / 4.0
-        a3 = m * (2.0 * c2 + m * c1 * c1) / 24.0
-        a4 = m * (8.0 * c3 + 6.0 * m * c1 * c2 + m * m * c1 ** 3) / 192.0
-        return CoeffTriple(a2, a3, a4)
-    raise ParameterRangeError(f"unknown family spec {spec!r}")
+    m = spec.m
+    a2 = m * c1 / 4.0
+    a3 = m * (2.0 * c2 + m * c1 * c1) / 24.0
+    a4 = m * (8.0 * c3 + 6.0 * m * c1 * c2 + m * m * c1 ** 3) / 192.0
+    return CoeffTriple(a2, a3, a4)
 
 
 def coeffs_ode_oracle(spec: FamilySpec, p: PowerSeries) -> CoeffTriple:
@@ -113,74 +133,47 @@ def coeffs_ode_oracle(spec: FamilySpec, p: PowerSeries) -> CoeffTriple:
 
     For the spirallike relation zf'/f = 1 + k(p - 1) the log-derivative
     integrates to log(f/z) = sum_n k*p_n/n z^n.  For the curvature relations
-    zf''/f' = w(z) the same identity gives log f' = sum_n w_n/n z^n.  Either
-    way the coefficients come out of a single exp of a known series, with no
+    zf''/f' = (m/2)(p - 1) the same identity gives log f' = sum_n (m/2)p_n/n
+    z^n, and f' = 1 + 2 a2 z + 3 a3 z^2 + 4 a4 z^3 + ...  Either way the
+    coefficients come out of a single exp of a known series, with no
     reference to the closed-form polynomials above.
     """
     if abs(p[0] - 1.0) > 1e-12:
         raise SeriesDomainError("driving function must have constant term 1")
     if p.order < 3:
         raise ValueError("driving series must retain at least order 3")
-    n = p.order
     if isinstance(spec, Spirallike):
-        k = _spiral_factor(spec)
-        log_fz = PowerSeries([0.0] + [k * p[m] / m for m in range(1, n + 1)])
-        fz = exp_unit(log_fz)  # series of f(z)/z
-        return CoeffTriple(fz[1], fz[2], fz[3])
-    if isinstance(spec, Ozaki):
-        mu = -spec.nu / 2.0  # zf''/f' = mu*(p - 1)
-    elif isinstance(spec, Robertson):
-        mu = (2.0 * spec.lam + 1.0) / 2.0  # zf''/f' = mu*(p - 1)
+        w, denom = spec.k, (1.0, 1.0, 1.0)  # exp gives f(z)/z
     else:
-        raise ParameterRangeError(f"unknown family spec {spec!r}")
-    log_fp = PowerSeries([0.0] + [mu * p[m] / m for m in range(1, n + 1)])
-    fp = exp_unit(log_fp)  # series of f'(z)
-    return CoeffTriple(fp[1] / 2.0, fp[2] / 3.0, fp[3] / 4.0)
+        w, denom = spec.m / 2.0, (2.0, 3.0, 4.0)  # exp gives f'(z)
+    s = exp_unit(PowerSeries([0.0] + [w * p[n] / n for n in (1, 2, 3)]))
+    return CoeffTriple(s[1] / denom[0], s[2] / denom[1], s[3] / denom[2])
 
 
 def s_critical(spec: FamilySpec) -> float:
     """Location in (0, 1) of the interior maximum of the reduced objective."""
-    if isinstance(spec, Ozaki):
-        nu = spec.nu
-        return math.sqrt(2.0 * (nu - 2.0) / (nu * nu + 8.0 * nu - 32.0))
-    if isinstance(spec, Robertson):
-        lam = spec.lam
-        return math.sqrt(-2.0 * (2.0 * lam + 3.0) / (4.0 * lam * lam - 12.0 * lam - 39.0))
-    raise ParameterRangeError("no interior critical point for the spirallike family")
+    if isinstance(spec, Spirallike):
+        raise ParameterRangeError("no interior critical point for the spirallike family")
+    m = spec.m
+    return math.sqrt(-2.0 * (m + 2.0) / (m * m - 8.0 * m - 32.0))
 
 
 def extremal_coeffs(spec: FamilySpec) -> CoeffTriple:
     """Coefficients of the function attaining the sharp bound."""
     if isinstance(spec, Spirallike):
-        w = _spiral_factor(spec)
         base = PowerSeries.from_poly([1.0, 0.0, -1.0], DEFAULT_ORDER)
-        fz = pow_complex(base, -w)  # series of z/(1-z^2)^w divided by z
+        fz = pow_complex(base, -spec.k)  # series of z/(1-z^2)^k divided by z
         return CoeffTriple(fz[1], fz[2], fz[3])
-    if isinstance(spec, Ozaki):
-        nu, s = spec.nu, s_critical(spec)
-        a2 = -nu * s / 2.0
-        a3 = nu * (1.0 + (nu - 2.0) * s * s) / 6.0
-        a4 = -nu * (nu - 2.0) * s * (3.0 + (nu - 4.0) * s * s) / 24.0
-        return CoeffTriple(a2, a3, a4)
-    if isinstance(spec, Robertson):
-        m, s = 2.0 * spec.lam + 1.0, s_critical(spec)
-        a2 = m * s / 2.0
-        a3 = m * ((m + 2.0) * s * s - 1.0) / 6.0
-        a4 = m * (m + 2.0) * ((m + 4.0) * s * s - 3.0) * s / 24.0
-        return CoeffTriple(a2, a3, a4)
-    raise ParameterRangeError(f"unknown family spec {spec!r}")
+    m, s = spec.m, s_critical(spec)
+    a2 = m * s / 2.0
+    a3 = m * ((m + 2.0) * s * s - 1.0) / 6.0
+    a4 = m * (m + 2.0) * s * ((m + 4.0) * s * s - 3.0) / 24.0
+    return CoeffTriple(a2, a3, a4)
 
 
 def sharp_bound(spec: FamilySpec) -> float:
     """Closed-form sharp bound on |H_{2,1}| for the family."""
     if isinstance(spec, Spirallike):
         return (1.0 - spec.alpha) ** 2 * math.cos(spec.beta) ** 2 / 4.0
-    if isinstance(spec, Ozaki):
-        nu = spec.nu
-        return nu * nu * (nu * nu + 12.0 * nu - 44.0) / (192.0 * (nu * nu + 8.0 * nu - 32.0))
-    if isinstance(spec, Robertson):
-        lam = spec.lam
-        num = (2.0 * lam + 1.0) ** 2 * (12.0 * lam * lam - 60.0 * lam - 165.0)
-        den = 576.0 * (4.0 * lam * lam - 12.0 * lam - 39.0)
-        return num / den
-    raise ParameterRangeError(f"unknown family spec {spec!r}")
+    m = spec.m
+    return m * m * (m * m - 12.0 * m - 44.0) / (192.0 * (m * m - 8.0 * m - 32.0))

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from .families import CoeffTriple
 
 
+class PathMismatchError(RuntimeError):
+    """The two evaluation paths of H_{2,1} disagree."""
+
+
 @dataclass(frozen=True)
 class GammaTriple:
     g1: complex
@@ -39,7 +43,9 @@ def h21(a: CoeffTriple, check: bool = True) -> complex:
     value = g.g1 * g.g3 - g.g2 * g.g2
     if check:
         scale = max(1.0, abs(a.a2), abs(a.a3), abs(a.a4)) ** 4
-        assert abs(value - h21_monomial(a)) <= 1e-12 * scale, "H_{2,1} path mismatch"
+        mismatch = abs(value - h21_monomial(a))
+        if not mismatch <= 1e-12 * scale:
+            raise PathMismatchError(f"H_{{2,1}} path mismatch {mismatch!r} for {a!r}")
     return value
 
 

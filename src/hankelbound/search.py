@@ -20,9 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import SchurParams
-from .families import FamilySpec, Ozaki, ParameterRangeError, Robertson, Spirallike, sharp_bound
+from .families import FAMILIES, FamilySpec, ParameterRangeError, Spirallike, sharp_bound
 
 _SHRINK = 8.0  # window shrink factor per refinement round
+
+#: Largest coarse grid; a complex grid temporary takes 16*(coarse + 1)^3 bytes.
+MAX_COARSE = 256
 
 
 @dataclass(frozen=True)
@@ -55,22 +58,13 @@ def _envelope_arrays(spec: FamilySpec, p1: np.ndarray):
         e1 = 2.0 * q * p1 * p1
         e2 = -q * (3.0 + p1 * p1)
         e3 = 4.0 * p1 * q
-    elif isinstance(spec, Ozaki):
-        nu = spec.nu
-        scale = nu * nu / 2304.0
-        e0 = (-nu * nu - 4.0 * nu + 8.0) * p1 ** 4
-        e1 = 4.0 * (4.0 - nu) * q * p1 * p1
+    else:
+        m = spec.m
+        scale = m * m / 2304.0
+        e0 = (-m * m + 4.0 * m + 8.0) * p1 ** 4
+        e1 = 4.0 * (m + 4.0) * q * p1 * p1
         e2 = -8.0 * (2.0 + p1 * p1) * q
         e3 = 24.0 * p1 * q
-    elif isinstance(spec, Robertson):
-        lam = spec.lam
-        scale = (2.0 * lam + 1.0) ** 2 / 2304.0
-        e0 = (-4.0 * lam * lam + 4.0 * lam + 11.0) * p1 ** 4
-        e1 = 4.0 * (2.0 * lam + 5.0) * q * p1 * p1
-        e2 = -8.0 * (p1 * p1 + 2.0) * q
-        e3 = 24.0 * p1 * q
-    else:
-        raise ParameterRangeError(f"unknown family spec {spec!r}")
     return scale, e0, e1, e2, e3
 
 
@@ -133,8 +127,8 @@ def _window(center: float, width: float, lo: float, hi: float, count: int) -> np
 def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> SearchReport:
     """Grid search plus local refinement; argmax ties break toward smaller
     p1, then smaller |p2|, then smaller phase (first hit in scan order)."""
-    if coarse < 64:
-        raise ValueError("coarse must be >= 64")
+    if not 64 <= coarse <= MAX_COARSE:
+        raise ValueError(f"coarse must lie in [64, {MAX_COARSE}], got {coarse!r}")
     if refine_rounds < 2:
         raise ValueError("refine_rounds must be >= 2")
 
@@ -181,14 +175,11 @@ def sweep(family: str, values, coarse: int = 128, refine_rounds: int = 3,
 
 def make_spec(family: str, value: float, beta: float = 0.0) -> FamilySpec:
     """Build a FamilySpec from a family tag and its swept parameter."""
-    tag = family.lower()
-    if tag == "spirallike":
-        return Spirallike(alpha=value, beta=beta)
-    if tag == "ozaki":
-        return Ozaki(nu=value)
-    if tag == "robertson":
-        return Robertson(lam=value)
-    raise ParameterRangeError(f"unknown family tag {family!r}")
+    if family.lower() not in FAMILIES:
+        raise ParameterRangeError(f"unknown family tag {family!r}")
+    cls, names = FAMILIES[family.lower()]
+    swept, *fixed = names.values()  # the one fixed parameter is spirallike's beta
+    return cls(**{swept: value}, **{attr: beta for attr in fixed})
 
 
 def bound_monotonicity(reports: list[SearchReport]) -> str:

@@ -14,9 +14,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-#: Default truncation order.  Everything downstream needs only order 4, but
-#: the extra margin is essentially free and guards against off-by-one bugs.
-DEFAULT_ORDER = 10
+#: Default truncation order: the highest index any caller reads is 3
+#: (a4 is the z^3 coefficient of f(z)/z, or of f'(z) divided by 4).
+DEFAULT_ORDER = 3
 
 _UNIT_ATOL = 1e-12
 
@@ -62,15 +62,6 @@ class PowerSeries:
 
     def __len__(self) -> int:
         return self.coeffs.size
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return PowerSeries(self.coeffs)
-        return PowerSeries(self.coeffs[: order + 1])
-
-    def __call__(self, z: complex) -> complex:
-        """Evaluate the truncated polynomial at z."""
-        return complex(np.polyval(self.coeffs[::-1], z))
 
     def __repr__(self) -> str:
         return f"PowerSeries({self.coeffs.tolist()!r})"
@@ -140,11 +131,3 @@ def pow_complex(a: PowerSeries, w: complex) -> PowerSeries:
     """a**w for a series with constant term 1, via exp(w * log a)."""
     s = log_unit(a)
     return exp_unit(PowerSeries(w * s.coeffs))
-
-
-def derivative(a: PowerSeries) -> PowerSeries:
-    """Termwise derivative; the order drops by one."""
-    if a.order == 0:
-        return PowerSeries([0.0])
-    n = np.arange(1, a.order + 1)
-    return PowerSeries(a.coeffs[1:] * n)

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Near-equality window at which adjacent branches are cross-checked.
-_BOUNDARY_EPS = 1e-9
-
 #: Default certification grid.
 CERT_RADIAL = 512
 CERT_ANGULAR = 2048
@@ -38,29 +35,14 @@ class YResult:
     case_label: YCase
 
 
-def y_closed_form(A: float, B: float, C: float, debug: bool = False) -> YResult:
-    """Piecewise maximum; first satisfied condition (top to bottom) wins.
-
-    With ``debug=True``, a condition holding with near-equality triggers an
-    agreement check between the two adjacent branch formulas (the maximum is
-    continuous, so any disagreement is a transcription error).
-    """
+def y_closed_form(A: float, B: float, C: float) -> YResult:
+    """Piecewise maximum; first satisfied condition (top to bottom) wins."""
     aA, aB, aC = abs(A), abs(B), abs(C)
 
     if A * C >= 0.0:
-        gap = aB - 2.0 * (1.0 - aC)
-        if gap >= 0.0:
-            value, label = aA + aB + aC, YCase.AC_NONNEG_SUM
-        else:
-            value, label = 1.0 + aA + aB * aB / (4.0 * (1.0 - aC)), YCase.AC_NONNEG_PARABOLA
-        if debug and abs(gap) <= _BOUNDARY_EPS and 1.0 - aC > 1e-6:
-            other = (
-                1.0 + aA + aB * aB / (4.0 * (1.0 - aC))
-                if label is YCase.AC_NONNEG_SUM
-                else aA + aB + aC
-            )
-            assert abs(value - other) <= 1e-7, "branch mismatch at AC>=0 boundary"
-        return YResult(value, label)
+        if aB - 2.0 * (1.0 - aC) >= 0.0:
+            return YResult(aA + aB + aC, YCase.AC_NONNEG_SUM)
+        return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 - aC)), YCase.AC_NONNEG_PARABOLA)
 
     # AC < 0 from here on; C != 0 so C**-2 is safe.
     t = -4.0 * A * C * (1.0 / (C * C) - 1.0)
@@ -68,31 +50,18 @@ def y_closed_form(A: float, B: float, C: float, debug: bool = False) -> YResult:
         return YResult(1.0 - aA + aB * aB / (4.0 * (1.0 - aC)), YCase.NEG_FIRST)
     if B * B < min(4.0 * (1.0 + aC) ** 2, t):
         return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 + aC)), YCase.NEG_SECOND)
-    return _r_branch(A, B, C, aA, aB, aC, debug)
 
-
-def _r_branch(A, B, C, aA, aB, aC, debug) -> YResult:
     # First case: |A| + |B| - |C|.  With AC < 0 the three terms of the
     # polynomial cannot phase-align on the boundary, so |C| is subtracted;
     # the brute-force oracle confirms this against the "+|C|" variant.
-    sum_gap = aA * aB - aC * (aB + 4.0 * aA)
-    diff_gap = aC * (aB - 4.0 * aA) - aA * aB
-    if sum_gap >= 0.0:
-        value, label = aA + aB - aC, YCase.R_SUM
-    elif diff_gap >= 0.0:
-        value, label = -aA + aB + aC, YCase.R_DIFF
-    else:
-        radicand = 1.0 - B * B / (4.0 * A * C)
-        if radicand < -1e-12:
-            raise ValueError(f"negative radicand {radicand!r} in R branch")
-        value, label = (aA + aC) * math.sqrt(max(radicand, 0.0)), YCase.R_SQRT
-    if debug:
-        sqrt_val = (aA + aC) * math.sqrt(max(1.0 - B * B / (4.0 * A * C), 0.0))
-        if abs(sum_gap) <= _BOUNDARY_EPS:
-            assert abs((aA + aB - aC) - sqrt_val) <= 1e-7, "R_SUM boundary mismatch"
-        if abs(diff_gap) <= _BOUNDARY_EPS:
-            assert abs((-aA + aB + aC) - sqrt_val) <= 1e-7, "R_DIFF boundary mismatch"
-    return YResult(value, label)
+    if aA * aB - aC * (aB + 4.0 * aA) >= 0.0:
+        return YResult(aA + aB - aC, YCase.R_SUM)
+    if aC * (aB - 4.0 * aA) - aA * aB >= 0.0:
+        return YResult(-aA + aB + aC, YCase.R_DIFF)
+    radicand = 1.0 - B * B / (4.0 * A * C)
+    if radicand < -1e-12:
+        raise ValueError(f"negative radicand {radicand!r} in R branch")
+    return YResult((aA + aC) * math.sqrt(max(radicand, 0.0)), YCase.R_SQRT)
 
 
 def y_oracle(A: float, B: float, C: float, radial: int = CERT_RADIAL,

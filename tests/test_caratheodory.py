@@ -80,7 +80,7 @@ class TestRepresentatives:
 
 class TestValidate:
     def test_half_plane_is_caratheodory(self):
-        assert validate_caratheodory(rep_degree1(1.0), 0.99, 720)
+        assert validate_caratheodory(rep_degree1(1.0, order=10), 0.99, 720)
 
     def test_constant_one(self):
         assert validate_caratheodory(PowerSeries.one(4), 0.5, 16)
@@ -115,10 +115,10 @@ class TestInvariants:
         rng = np.random.default_rng(12)
         for _ in range(1000):
             theta = rng.uniform(0, 2 * np.pi)
-            p = rep_degree1(np.exp(1j * theta))
+            p = rep_degree1(np.exp(1j * theta), order=10)
             assert validate_caratheodory(p, 0.999, 720)
             p1 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            p = rep_degree2(p1, np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            p = rep_degree2(p1, np.exp(1j * rng.uniform(0, 2 * np.pi)), order=10)
             assert validate_caratheodory(p, 0.999, 720)
 
     def test_ctriple_rejects_oversized_coefficients(self):

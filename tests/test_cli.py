@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from hankelbound import cli, hankel, search
 from hankelbound.cli import main
 
 
@@ -14,6 +16,26 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out = run(capsys, argv)
     return code, json.loads(out)
+
+
+def exit_code(capsys, argv):
+    """Exit code of ``hankelbound <argv>``, argparse usage errors included;
+    the command must print no passing report."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert '"pass": true' not in capsys.readouterr().out
+    return code
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail any grid search: invalid input must be rejected before one."""
+    def fail(*args, **kwargs):
+        raise AssertionError("grid search ran on invalid input")
+    monkeypatch.setattr(cli, "global_max", fail)
+    monkeypatch.setattr(search, "global_max", fail)
 
 
 class TestVerify:
@@ -40,6 +62,14 @@ class TestVerify:
         assert code == 2
         assert "nu" in captured.err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exits_2(self, capsys, no_search, tol):
+        assert exit_code(capsys, ["verify", "--family", "spirallike", "--tol", tol]) == 2
+
+    def test_coarse_above_cap_exits_2(self, capsys):
+        # Rejected before any grid is allocated: 16*(100001)^3 bytes is 16 PB.
+        assert exit_code(capsys, ["verify", "--family", "ozaki", "--coarse", "100000"]) == 2
+
 
 class TestSweep:
     def test_spirallike_values(self, capsys):
@@ -56,6 +86,15 @@ class TestSweep:
         assert main(["sweep", "--family", "ozaki", "--values", "0.5,2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extra", [["--tol", "nan"], ["--values", "0.5,nan"]])
+    def test_invalid_input_exits_2(self, capsys, no_search, extra):
+        argv = ["sweep", "--family", "robertson", "--values", "0.5", *extra]
+        assert exit_code(capsys, argv) == 2
+
+    def test_coarse_above_cap_exits_2(self, capsys):
+        argv = ["sweep", "--family", "robertson", "--values", "0.5", "--coarse", "100000"]
+        assert exit_code(capsys, argv) == 2
+
 
 class TestYmaxCertify:
     def test_small_run_passes(self, capsys):
@@ -68,6 +107,10 @@ class TestYmaxCertify:
         _, first = run(capsys, ["ymax-certify", "--n", "3", "--seed", "9"])
         _, second = run(capsys, ["ymax-certify", "--n", "3", "--seed", "9"])
         assert first == second
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-6", "0"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        assert exit_code(capsys, ["ymax-certify", "--n", "1", "--tol", tol]) == 2
 
 
 class TestExtremal:
@@ -88,6 +131,21 @@ class TestExtremal:
         row = payload["results"][0]
         assert row["a2"] == pytest.approx([0.0, 0.0])
         assert row["a3"] == pytest.approx([1.0, 0.0])
+
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        assert exit_code(capsys, ["extremal", "--family", "ozaki", "--tol", tol]) == 2
+
+    def test_path_mismatch_exits_1(self, capsys, monkeypatch):
+        # A broken monomial path must fail the internal cross-check of h21
+        # with exit 1 and a one-line error, not a traceback or a pass.
+        monomial = hankel.h21_monomial
+        monkeypatch.setattr(hankel, "h21_monomial", lambda a: monomial(a) + 1e-7)
+        code = main(["extremal", "--family", "robertson"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert '"pass": true' not in captured.out
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestGamma:
@@ -114,6 +172,13 @@ class TestGamma:
         assert main(["gamma", "--a2", "banana"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("literals", [
+        ["--a2", "nan", "--a3", "inf"], ["--a4", "-inf"], ["--a3", "1+nanj"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_finite_literal_exits_2(self, capsys, literals, fmt):
+        assert exit_code(capsys, ["gamma", *literals, "--format", fmt]) == 2
+
 
 class TestOutputFormats:
     def test_csv(self, capsys):
@@ -129,6 +194,10 @@ class TestOutputFormats:
         code, out = run(capsys, ["gamma", "--koebe", "--format", "table"])
         assert code == 0
         assert "gamma1" in out
+
+    def test_json_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            cli._emit({"value": float("nan")}, argparse.Namespace(format="json", out=None))
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

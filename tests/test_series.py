@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hankelbound.series import (
     PowerSeries,
     SeriesDomainError,
-    derivative,
     div,
     exp_unit,
     log_unit,
@@ -118,21 +117,6 @@ class TestPow:
         a = PowerSeries(c)
         coeffs_close(pow_complex(a, 1.0), a.coeffs, tol=1e-12)
         coeffs_close(pow_complex(a, 0.0), PowerSeries.one(6).coeffs, tol=1e-12)
-
-
-class TestDerivative:
-    def test_polynomial(self):
-        coeffs_close(derivative(PowerSeries.from_poly([1, 1, 1], 2)), [1, 2])
-
-    def test_constant(self):
-        coeffs_close(derivative(PowerSeries.from_poly([7], 0)), [0])
-
-    def test_koebe_derivative(self):
-        # f = z/(1-z)^2 has f' with coefficient (n+1)^2 of z^n.
-        fz = pow_complex(PowerSeries.from_poly([1, -1], 6), -2)
-        f = PowerSeries(np.concatenate([[0], fz.coeffs[:-1]]))  # multiply by z
-        expected = [(n + 1) ** 2 for n in range(6)]
-        coeffs_close(derivative(f), expected, tol=1e-10)
 
 
 def _random_unit_series(rng, order):
