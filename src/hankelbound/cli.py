@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-  verify        grid-search |H_{2,1}| for one family and check it against
-                the closed-form sharp bound
+  verify        maximise |H_{2,1}| for one family (Y-lemma, then a search
+                in p1) and check it against the closed-form sharp bound
   sweep         run verify over a list of parameter values
   ymax-certify  seeded random certification of the piecewise disk maximum
   extremal      extremal-function coefficients and equality residual
@@ -65,6 +65,13 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return tol
+
+
+def _count(text: str) -> int:
+    """argparse type of --n: an integer >= 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return int(text)
 
 
 def _report_row(rep: SearchReport) -> dict[str, Any]:
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ymax-certify", help="random certification of the "
                                             "piecewise disk maximum")
-    p.add_argument("--n", type=int, default=10_000)
+    p.add_argument("--n", type=_count, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--radial", type=int, default=512)

@@ -5,11 +5,14 @@ invariance) has the form
 
     scale * (e0 + e1*p2 + e2*p2^2 + e3*(1 - |p2|^2)*p3)
 
-with real e0..e3 depending on p1 only and e3 >= 0.  The p3 variable enters
-affinely with a nonnegative coefficient, so its optimum over the closed disk
-is a unimodular value aligning phases; that leaves a two-real-parameter
-search over p1 in [0, 1] and p2 in the closed disk, done by a coarse grid
-plus deterministic local refinement.
+with real e0..e3 depending on p1 only and e3 >= 0.  The search takes the
+paper's two steps.  p3 enters affinely with a nonnegative coefficient, so
+its optimum is the unimodular value aligning phases; for e3 > 0 the
+maximum over p2 is then scale*e3*Y(e0/e3, e1/e3, e2/e3), the Y-lemma of
+``ymax``, which also gives a maximising p2.  What is left is a 1-D search
+over p1 in [0, 1] on a grid refined in shrinking windows.  ``_grid_values``,
+the same value on a 3-D grid in (p1, |p2|, arg p2), is the tests'
+brute-force reference.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import numpy as np
 
 from .caratheodory import SchurParams
 from .families import FAMILIES, FamilySpec, ParameterRangeError, Spirallike, sharp_bound
+from .ymax import y_closed_form
 
 _SHRINK = 8.0  # window shrink factor per refinement round
 
-#: Largest coarse grid; a complex grid temporary takes 16*(coarse + 1)^3 bytes.
+#: Largest coarse grid, in p1 nodes less one.
 MAX_COARSE = 256
 
 
@@ -118,50 +122,39 @@ def _grid_values(spec: FamilySpec, p1: np.ndarray, r: np.ndarray, phi: np.ndarra
     return scale * (np.abs(inner) + e3[:, None, None] * disk)
 
 
-def _window(center: float, width: float, lo: float, hi: float, count: int) -> np.ndarray:
-    a = max(lo, center - width / 2.0)
-    b = min(hi, center + width / 2.0)
-    return np.linspace(a, b, count)
-
-
 def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> SearchReport:
-    """Grid search plus local refinement; argmax ties break toward smaller
-    p1, then smaller |p2|, then smaller phase (first hit in scan order)."""
+    """Y-lemma maximum over (p2, p3) per p1, searched over p1 on a refining
+    grid; argmax ties break toward smaller p1 (first hit in scan order)."""
     if not 64 <= coarse <= MAX_COARSE:
         raise ValueError(f"coarse must lie in [64, {MAX_COARSE}], got {coarse!r}")
     if refine_rounds < 2:
         raise ValueError("refine_rounds must be >= 2")
 
-    p1 = np.linspace(0.0, 1.0, coarse + 1)
-    r = np.linspace(0.0, 1.0, coarse + 1)
-    phi = 2.0 * np.pi * np.arange(coarse) / coarse
-    vals = _grid_values(spec, p1, r, phi)
-    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = float(vals[idx])
-    bp1, br, bphi = float(p1[idx[0]]), float(r[idx[1]]), float(phi[idx[2]])
-
-    for t in range(1, refine_rounds + 1):
-        shrink = _SHRINK ** t
-        p1 = _window(bp1, 1.0 / shrink, 0.0, 1.0, coarse + 1)
-        r = _window(br, 1.0 / shrink, 0.0, 1.0, coarse + 1)
-        half = math.pi / shrink
-        phi = np.linspace(bphi - half, bphi + half, coarse + 1)
-        vals = _grid_values(spec, p1, r, phi)
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if float(vals[idx]) > best:
-            best = float(vals[idx])
-            bp1, br, bphi = float(p1[idx[0]]), float(r[idx[1]]), float(phi[idx[2]])
+    best, bp1, bp2 = -math.inf, 0.5, 1.0
+    for t in range(refine_rounds + 1):
+        # Round 0 spans [0, 1]; each later one a window _SHRINK times narrower.
+        half = 0.5 / _SHRINK ** t
+        p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
+        scale, *coeffs = _envelope_arrays(spec, p1)
+        for x, e0, e1, e2, e3 in zip(p1.tolist(), *(c.tolist() for c in coeffs)):
+            if e3 == 0.0:  # p1 = 0 or 1, where e2 or e0 alone is non-zero
+                value, z = scale * (abs(e0) + abs(e1) + abs(e2)), 1.0
+            else:
+                y = y_closed_form(e0 / e3, e1 / e3, e2 / e3)
+                value, z = scale * e3 * y.value, y.z
+            if value > best:
+                best, bp1, bp2 = value, x, z
 
     env = envelope(spec, bp1)
-    p2 = br * complex(math.cos(bphi), math.sin(bphi))
-    argmax = SchurParams(bp1, p2, optimal_p3(env, p2))
+    p2 = complex(bp2)
+    top = value_p3_optimal(env, p2)
     bound = sharp_bound(spec)
     return SearchReport(
         family=spec,
-        max_abs_h21=best,
-        argmax=argmax,
+        max_abs_h21=top,
+        argmax=SchurParams(bp1, p2, optimal_p3(env, p2)),
         bound=bound,
-        gap=bound - best,
+        gap=bound - top,
         grid=f"coarse={coarse}, refine_rounds={refine_rounds}, shrink={int(_SHRINK)}",
     )
 

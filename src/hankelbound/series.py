@@ -67,22 +67,11 @@ class PowerSeries:
         return f"PowerSeries({self.coeffs.tolist()!r})"
 
 
-def _common_order(a: PowerSeries, b: PowerSeries) -> int:
-    return min(a.order, b.order)
-
-
-def mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product, truncated to the smaller order."""
-    n = _common_order(a, b)
-    full = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])
-    return PowerSeries(full[: n + 1])
-
-
 def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Quotient q with mul(q, b) = a up to the truncation order."""
+    """Quotient q with q*b = a up to the truncation order."""
     if abs(b[0]) == 0.0:
         raise SeriesDomainError("division by a series with zero constant term")
-    n = _common_order(a, b)
+    n = min(a.order, b.order)
     q = np.zeros(n + 1, dtype=complex)
     bc = b.coeffs
     for k in range(n + 1):

@@ -1,7 +1,8 @@
 """Closed-form maximum of |A + Bz + Cz^2| + 1 - |z|^2 over the closed disk.
 
 ``y_closed_form`` implements the piecewise formula exactly as stated for real
-A, B, C, recording which branch fired.  ``y_oracle`` is an independent
+A, B, C, recording which branch fired and a disk point where that branch's
+value is attained.  ``y_oracle`` is an independent
 brute-force maximization over a polar grid; ``y_certify`` checks the two
 against each other up to a grid-resolution allowance.
 """
@@ -17,6 +18,8 @@ import numpy as np
 #: Default certification grid.
 CERT_RADIAL = 512
 CERT_ANGULAR = 2048
+#: Largest y_oracle grid, in nodes per triple; 8 bytes a node per temporary.
+MAX_ORACLE_NODES = 10 ** 7
 
 
 class YCase(enum.Enum):
@@ -33,35 +36,43 @@ class YCase(enum.Enum):
 class YResult:
     value: float
     case_label: YCase
+    z: complex  # a point of the closed disk where value is attained
 
 
 def y_closed_form(A: float, B: float, C: float) -> YResult:
     """Piecewise maximum; first satisfied condition (top to bottom) wins."""
     aA, aB, aC = abs(A), abs(B), abs(C)
+    sA, sB = math.copysign(1.0, A), math.copysign(1.0, B)
 
     if A * C >= 0.0:
+        sAC = math.copysign(1.0, A + C)
         if aB - 2.0 * (1.0 - aC) >= 0.0:
-            return YResult(aA + aB + aC, YCase.AC_NONNEG_SUM)
-        return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 - aC)), YCase.AC_NONNEG_PARABOLA)
+            return YResult(aA + aB + aC, YCase.AC_NONNEG_SUM, sB * sAC)
+        return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 - aC)), YCase.AC_NONNEG_PARABOLA,
+                       sAC * B / (2.0 * (1.0 - aC)))
 
     # AC < 0 from here on; C != 0 so C**-2 is safe.
     t = -4.0 * A * C * (1.0 / (C * C) - 1.0)
     if t <= B * B and aB < 2.0 * (1.0 - aC):
-        return YResult(1.0 - aA + aB * aB / (4.0 * (1.0 - aC)), YCase.NEG_FIRST)
+        return YResult(1.0 - aA + aB * aB / (4.0 * (1.0 - aC)), YCase.NEG_FIRST,
+                       -sA * B / (2.0 * (1.0 - aC)))
     if B * B < min(4.0 * (1.0 + aC) ** 2, t):
-        return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 + aC)), YCase.NEG_SECOND)
+        return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 + aC)), YCase.NEG_SECOND,
+                       sA * B / (2.0 * (1.0 + aC)))
 
     # First case: |A| + |B| - |C|.  With AC < 0 the three terms of the
     # polynomial cannot phase-align on the boundary, so |C| is subtracted;
     # the brute-force oracle confirms this against the "+|C|" variant.
     if aA * aB - aC * (aB + 4.0 * aA) >= 0.0:
-        return YResult(aA + aB - aC, YCase.R_SUM)
+        return YResult(aA + aB - aC, YCase.R_SUM, sA * sB)
     if aC * (aB - 4.0 * aA) - aA * aB >= 0.0:
-        return YResult(-aA + aB + aC, YCase.R_DIFF)
+        return YResult(-aA + aB + aC, YCase.R_DIFF, -sA * sB)
     radicand = 1.0 - B * B / (4.0 * A * C)
     if radicand < -1e-12:
         raise ValueError(f"negative radicand {radicand!r} in R branch")
-    return YResult((aA + aC) * math.sqrt(max(radicand, 0.0)), YCase.R_SQRT)
+    u = min(max(-B * (A + C) / (4.0 * A * C), -1.0), 1.0)
+    return YResult((aA + aC) * math.sqrt(max(radicand, 0.0)), YCase.R_SQRT,
+                   complex(u, math.sqrt(1.0 - u * u)))
 
 
 def y_oracle(A: float, B: float, C: float, radial: int = CERT_RADIAL,
@@ -74,12 +85,12 @@ def y_oracle(A: float, B: float, C: float, radial: int = CERT_RADIAL,
     be scanned with vectorized real arithmetic; the result is exactly the
     grid maximum.
     """
-    if radial < 64 or angular < 256:
-        raise ValueError("grid too coarse: need radial >= 64 and angular >= 256")
-    r = np.arange(radial + 1) / radial
     # theta_k and 2*pi - theta_k give the same cos, hence the same value;
     # for even angular counts the distinct cosines are k = 0..angular/2.
     n_u = angular // 2 + 1 if angular % 2 == 0 else angular
+    if radial < 64 or angular < 256 or (radial + 1) * n_u > MAX_ORACLE_NODES:
+        raise ValueError(f"need radial >= 64, angular >= 256, nodes <= {MAX_ORACLE_NODES}")
+    r = np.arange(radial + 1) / radial
     u = np.cos(2.0 * np.pi * np.arange(n_u) / angular)
     r2 = r * r
     # |A + Bz + Cz^2|^2 = A^2 + B^2 r^2 + C^2 r^4

@@ -78,9 +78,21 @@ class TestRepresentatives:
         assert np.allclose(p.coeffs, [1, 0, -2, 0, 2])
 
 
+#: Radius and order of the positivity checks: the truncation tail
+#: 2 r^(N+1) / (1 - r) is about 0.03, below Harnack's floor (1 - r)/(1 + r)
+#: = 0.053 on the real part of a member, so the real-part test is live.
+RADIUS, ORDER = 0.9, 60
+
+
 class TestValidate:
     def test_half_plane_is_caratheodory(self):
-        assert validate_caratheodory(rep_degree1(1.0, order=10), 0.99, 720)
+        assert validate_caratheodory(rep_degree1(1.0, order=ORDER), RADIUS, 720)
+
+    def test_real_part_violation(self):
+        # 1 - 2z: |c1| = 2 passes the coefficient test, Re = -0.8 at z = 0.9.
+        p = PowerSeries.from_poly([1, -2], ORDER)
+        assert np.max(np.abs(p.coeffs[1:])) <= 2.0
+        assert not validate_caratheodory(p, RADIUS, 720)
 
     def test_constant_one(self):
         assert validate_caratheodory(PowerSeries.one(4), 0.5, 16)
@@ -115,11 +127,11 @@ class TestInvariants:
         rng = np.random.default_rng(12)
         for _ in range(1000):
             theta = rng.uniform(0, 2 * np.pi)
-            p = rep_degree1(np.exp(1j * theta), order=10)
-            assert validate_caratheodory(p, 0.999, 720)
+            p = rep_degree1(np.exp(1j * theta), order=ORDER)
+            assert validate_caratheodory(p, RADIUS, 720)
             p1 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            p = rep_degree2(p1, np.exp(1j * rng.uniform(0, 2 * np.pi)), order=10)
-            assert validate_caratheodory(p, 0.999, 720)
+            p = rep_degree2(p1, np.exp(1j * rng.uniform(0, 2 * np.pi)), order=ORDER)
+            assert validate_caratheodory(p, RADIUS, 720)
 
     def test_ctriple_rejects_oversized_coefficients(self):
         with pytest.raises(InvalidParameterError):

@@ -112,6 +112,16 @@ class TestYmaxCertify:
     def test_bad_tol_exits_2(self, capsys, tol):
         assert exit_code(capsys, ["ymax-certify", "--n", "1", "--tol", tol]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1", "1.5"])
+    def test_bad_n_exits_2(self, capsys, n):
+        # --n 0 would certify nothing and still pass.
+        assert exit_code(capsys, ["ymax-certify", "--n", n]) == 2
+
+    def test_grid_above_cap_exits_2(self, capsys):
+        # Rejected before the oracle grid is built: about 40 GB per triple.
+        argv = ["ymax-certify", "--n", "1", "--radial", "100000", "--angular", "100000"]
+        assert exit_code(capsys, argv) == 2
+
 
 class TestExtremal:
     def test_convex(self, capsys):

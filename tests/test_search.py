@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from hankelbound.families import (
 )
 from hankelbound.hankel import h21
 from hankelbound.search import (
+    MAX_COARSE,
+    _grid_values,
     bound_monotonicity,
     envelope,
     envelope_value,
@@ -121,9 +125,9 @@ class TestGlobalMax:
 
     def test_starlike(self):
         rep = global_max(Spirallike(0.0, 0.0))
-        assert rep.max_abs_h21 == pytest.approx(0.25, abs=5e-4)
-        assert rep.argmax.p1 <= 1e-2
-        assert abs(rep.argmax.p2) == pytest.approx(1.0, abs=1e-2)
+        assert rep.max_abs_h21 == pytest.approx(0.25, abs=1e-12)
+        assert rep.argmax.p1 == 0.0
+        assert abs(rep.argmax.p2) == pytest.approx(1.0, abs=1e-12)
 
     def test_soundness_and_sharpness(self):
         rng = np.random.default_rng(44)
@@ -131,16 +135,46 @@ class TestGlobalMax:
             for _ in range(10):
                 spec = random_spec(rng, tag)
                 rep = global_max(spec, coarse=64, refine_rounds=3)
-                assert rep.gap >= -1e-9
-                assert rep.gap <= 5e-4
+                assert rep.gap >= -1e-12
+                assert rep.gap <= 1e-9
 
     def test_argmax_near_critical_point(self):
         for spec in (Ozaki(1.0), Ozaki(0.4), Robertson(0.5), Robertson(1.0)):
             rep = global_max(spec)
-            assert abs(rep.argmax.p1 - s_critical(spec)) <= 2e-3
-            assert abs(abs(rep.argmax.p2) - 1.0) <= 2e-3
+            assert abs(rep.argmax.p1 - s_critical(spec)) <= 2e-5
             # The extremal generator aligns with p2 = -1.
-            assert abs(abs(np.angle(rep.argmax.p2)) - np.pi) <= 2e-3
+            assert abs(rep.argmax.p2 + 1.0) <= 1e-12
+
+    def test_never_beaten_by_grid(self):
+        # The 3-D brute-force grid shares the 65 coarse p1 nodes, where the
+        # Y-lemma gives the exact maximum over (p2, p3).
+        rng = np.random.default_rng(45)
+        p1 = np.linspace(0.0, 1.0, 65)
+        r = np.linspace(0.0, 1.0, 65)
+        phi = 2.0 * np.pi * np.arange(64) / 64
+        for tag in ("spirallike", "ozaki", "robertson"):
+            for _ in range(4):
+                spec = random_spec(rng, tag)
+                grid = float(_grid_values(spec, p1, r, phi).max())
+                assert global_max(spec, coarse=64).max_abs_h21 >= grid * (1.0 - 1e-12)
+
+    def test_argmax_reproduces_maximum(self):
+        rng = np.random.default_rng(46)
+        for tag in ("spirallike", "ozaki", "robertson"):
+            for _ in range(10):
+                spec = random_spec(rng, tag)
+                rep = global_max(spec)
+                a = coeffs_closed_form(spec, c_from_params(rep.argmax))
+                assert abs(abs(h21(a)) - rep.max_abs_h21) <= 1e-12
+
+    def test_memory(self):
+        tracemalloc.start()
+        try:
+            global_max(Robertson(0.7), coarse=MAX_COARSE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_determinism(self):
         a = global_max(Robertson(0.7), coarse=64, refine_rounds=2)

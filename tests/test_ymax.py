@@ -1,3 +1,6 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,28 @@ class TestClosedForm:
         assert res.case_label is YCase.R_SQRT
 
 
+def sample_triples(rng):
+    """Uniform triples at three scales, and every triple over a small value
+    set holding zeros of both signs and the branch thresholds |B| = 2 and
+    |C| = 1."""
+    scaled = np.concatenate([rng.uniform(-s, s, size=(4000, 3)) for s in (0.25, 1.0, 5.0)])
+    values = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0)
+    return [*map(tuple, scaled.tolist()), *itertools.product(values, repeat=3)]
+
+
+class TestMaximiser:
+    def test_attains_value_in_every_branch(self):
+        seen = collections.Counter()
+        for A, B, C in sample_triples(np.random.default_rng(11)):
+            res = y_closed_form(A, B, C)
+            z = res.z
+            assert abs(z) <= 1.0
+            attained = abs(A + B * z + C * z * z) + 1.0 - abs(z) ** 2
+            assert abs(attained - res.value) <= 1e-12 * res.value, (A, B, C, res)
+            seen[res.case_label] += 1
+        assert min(seen[case] for case in YCase) >= 20, seen
+
+
 class TestOracle:
     def test_origin(self):
         assert y_oracle(0, 0, 0) == pytest.approx(1.0)
@@ -48,6 +73,11 @@ class TestOracle:
             y_oracle(1, 1, 1, radial=32, angular=2048)
         with pytest.raises(ValueError):
             y_oracle(1, 1, 1, radial=512, angular=128)
+        # Rejected before any array is built: 100001 x 50001 nodes is 40 GB.
+        with pytest.raises(ValueError):
+            y_oracle(1, 1, 1, radial=100_000, angular=100_000)
+        # The cap still admits a grid twice as fine as the default each way.
+        assert y_oracle(1, 1, 1, radial=1024, angular=4096) == pytest.approx(3.0)
 
 
 class TestCertify:
