@@ -40,13 +40,15 @@ from .families import (
 )
 from .hankel import PathMismatchError, h21, h21_monomial, log_coeffs
 from .search import SearchReport, bound_monotonicity, global_max, sweep
-from .ymax import grid_allowance, y_closed_form, y_oracle
+from .ymax import YCase, grid_allowance, y_closed_form, y_oracle
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 GAP_FLOOR = -1e-9  # search must never beat the proven bound
+#: Largest ymax-certify --n; the triples are drawn at once, 24 bytes each.
+MAX_CERTIFY_N = 10 ** 6
 
 
 def _cx(z: complex) -> list[float]:
@@ -68,9 +70,9 @@ def _tolerance(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """argparse type of --n: an integer >= 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    """argparse type of --n: an integer in [1, MAX_CERTIFY_N]."""
+    if not 1 <= int(text) <= MAX_CERTIFY_N:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_CERTIFY_N}], got {text!r}")
     return int(text)
 
 
@@ -95,6 +97,8 @@ def _flatten(row: dict[str, Any]) -> dict[str, Any]:
             isinstance(v, float) for v in value
         ):
             flat[key + "_re"], flat[key + "_im"] = value
+        elif isinstance(value, dict):
+            flat.update((f"{key}_{k}", v) for k, v in value.items())
         else:
             flat[key] = value
     return flat
@@ -174,10 +178,12 @@ def cmd_ymax_certify(args: argparse.Namespace) -> int:
     worst = 0.0
     worst_triple = [0.0, 0.0, 0.0]
     passed = 0
+    cases = dict.fromkeys((case.value for case in YCase), 0)
     for A, B, C in triples:
-        closed = y_closed_form(A, B, C).value
+        res = y_closed_form(A, B, C)
+        cases[res.case_label.value] += 1
         grid = y_oracle(A, B, C, radial=args.radial, angular=args.angular)
-        disc = abs(closed - grid)
+        disc = abs(res.value - grid)
         if disc <= args.tol + grid_allowance(B, C, args.radial, args.angular):
             passed += 1
         if disc > worst:
@@ -196,6 +202,7 @@ def cmd_ymax_certify(args: argparse.Namespace) -> int:
         "passed": passed,
         "worst_discrepancy": worst,
         "worst_triple": worst_triple,
+        "cases": cases,
     }]
     _emit(_payload("ymax-certify", config, results, ok, worst), args)
     return EXIT_PASS if ok else EXIT_FAIL

@@ -2,14 +2,17 @@
 
 ``y_closed_form`` implements the piecewise formula exactly as stated for real
 A, B, C, recording which branch fired and a disk point where that branch's
-value is attained.  ``y_oracle`` is an independent
-brute-force maximization over a polar grid; ``y_certify`` checks the two
-against each other up to a grid-resolution allowance.
+value is attained.  ``y_oracle`` is an independent maximization over a polar
+grid: on each circle the squared modulus is a quadratic in cos(theta), so
+only the end nodes and the nodes next to its vertex are evaluated, and the
+result is exactly the grid maximum.  ``y_certify`` checks the two against
+each other up to a grid-resolution allowance.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +65,7 @@ def y_closed_form(A: float, B: float, C: float) -> YResult:
 
     # First case: |A| + |B| - |C|.  With AC < 0 the three terms of the
     # polynomial cannot phase-align on the boundary, so |C| is subtracted;
-    # the brute-force oracle confirms this against the "+|C|" variant.
+    # the polar-grid oracle confirms this against the "+|C|" variant.
     if aA * aB - aC * (aB + 4.0 * aA) >= 0.0:
         return YResult(aA + aB - aC, YCase.R_SUM, sA * sB)
     if aC * (aB - 4.0 * aA) - aA * aB >= 0.0:
@@ -75,30 +78,58 @@ def y_closed_form(A: float, B: float, C: float) -> YResult:
                    complex(u, math.sqrt(1.0 - u * u)))
 
 
+@functools.lru_cache(maxsize=8)
+def _oracle_nodes(radial: int, angular: int, n_u: int) -> tuple[np.ndarray, ...]:
+    """Radii, squared radii and the first n_u grid cosines, sorted.
+
+    The arrays are shared by every call with the same grid, so they are
+    returned read-only.
+    """
+    r = np.arange(radial + 1) / radial
+    u = np.sort(np.cos(2.0 * np.pi * np.arange(n_u) / angular))
+    nodes = (r, r * r, u)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+#: Offsets, from the vertex's insertion point in the sorted cosines, of the
+#: nodes that can hold a concave row's grid maximum: two on each side, as for
+#: odd angular counts theta_k and 2*pi - theta_k give near-equal cosines.
+_VERTEX_OFFSETS = np.arange(-2, 2)
+
+
 def y_oracle(A: float, B: float, C: float, radial: int = CERT_RADIAL,
              angular: int = CERT_ANGULAR) -> float:
     """Maximum of |A + Bz + Cz^2| + 1 - |z|^2 over the polar grid.
 
     The grid is r_j = j/radial (j = 0..radial, so r = 0 and r = 1 are
     included) times theta_k = 2*pi*k/angular.  For real coefficients the
-    squared modulus is a quadratic in cos(theta), which lets the whole grid
-    be scanned with vectorized real arithmetic; the result is exactly the
-    grid maximum.
+    squared modulus on the circle of radius r_j is a quadratic in
+    u = cos(theta), so its largest value over the grid's u-nodes sits at an
+    end node or, for a concave quadratic, at a node next to the vertex.  Only
+    five nodes per radius are evaluated, the four around the vertex and the
+    lowest, with the same floating-point expression as a scan of every node,
+    so the result is exactly the grid maximum.  Nothing here uses the
+    piecewise formula of ``y_closed_form``.
     """
     # theta_k and 2*pi - theta_k give the same cos, hence the same value;
     # for even angular counts the distinct cosines are k = 0..angular/2.
     n_u = angular // 2 + 1 if angular % 2 == 0 else angular
     if radial < 64 or angular < 256 or (radial + 1) * n_u > MAX_ORACLE_NODES:
         raise ValueError(f"need radial >= 64, angular >= 256, nodes <= {MAX_ORACLE_NODES}")
-    r = np.arange(radial + 1) / radial
-    u = np.cos(2.0 * np.pi * np.arange(n_u) / angular)
-    r2 = r * r
+    r, r2, u = _oracle_nodes(radial, angular, n_u)
     # |A + Bz + Cz^2|^2 = A^2 + B^2 r^2 + C^2 r^4
     #                     + 2(AB r + BC r^3) u + 2AC r^2 (2u^2 - 1)
     const = A * A + B * B * r2 + C * C * r2 * r2 - 2.0 * A * C * r2
     lin = 2.0 * (A * B * r + B * C * r * r2)
     quad = 4.0 * A * C * r2
-    sq = const[:, None] + lin[:, None] * u[None, :] + quad[:, None] * (u * u)[None, :]
+    # A row that is not concave peaks at an end node.  Its vertex is put past
+    # the upper end, so its window holds that end; every row adds the lower end.
+    vertex = np.divide(-lin, 2.0 * quad, out=np.full_like(lin, np.inf), where=quad < 0.0)
+    near = np.clip(np.searchsorted(u, vertex)[:, None] + _VERTEX_OFFSETS, 0, len(u) - 1)
+    uc = np.column_stack([u[near], np.full(len(r), u[0])])
+    sq = const[:, None] + lin[:, None] * uc + quad[:, None] * (uc * uc)
     row_max = np.sqrt(np.maximum(sq.max(axis=1), 0.0))
     return float(np.max(row_max + 1.0 - r2))
 

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from hankelbound import cli, hankel, search
-from hankelbound.cli import main
+from hankelbound.cli import MAX_CERTIFY_N, main
+from hankelbound.ymax import YCase
 
 
 def run(capsys, argv):
@@ -116,6 +117,25 @@ class TestYmaxCertify:
     def test_bad_n_exits_2(self, capsys, n):
         # --n 0 would certify nothing and still pass.
         assert exit_code(capsys, ["ymax-certify", "--n", n]) == 2
+
+    def test_n_above_cap_exits_2(self, capsys):
+        # Rejected before any triple is drawn: 24 GB of triples at 10^9.
+        argv = ["ymax-certify", "--n", str(MAX_CERTIFY_N + 1)]
+        assert exit_code(capsys, argv) == 2
+        assert exit_code(capsys, ["ymax-certify", "--n", "1000000000"]) == 2
+
+    def test_case_counts_sum_to_n(self, capsys):
+        code, payload = run_json(capsys, ["ymax-certify", "--n", "40", "--seed", "3"])
+        assert code == 0
+        cases = payload["results"][0]["cases"]
+        assert set(cases) == {case.value for case in YCase}
+        assert sum(cases.values()) == 40
+
+    def test_csv_has_a_column_per_case(self, capsys):
+        code, out = run(capsys, ["ymax-certify", "--n", "3", "--format", "csv"])
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        assert {f"cases_{case.value}" for case in YCase} <= set(header)
 
     def test_grid_above_cap_exits_2(self, capsys):
         # Rejected before the oracle grid is built: about 40 GB per triple.

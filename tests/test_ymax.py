@@ -1,11 +1,15 @@
 import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hankelbound.families import Ozaki, Robertson, Spirallike
+from hankelbound.search import envelope
 from hankelbound.ymax import (
     YCase,
+    _oracle_nodes,
     grid_allowance,
     y_certify,
     y_closed_form,
@@ -52,6 +56,63 @@ class TestMaximiser:
         assert min(seen[case] for case in YCase) >= 20, seen
 
 
+def _full_scan(A, B, C, radial, angular):
+    """Reference oracle: the same expression evaluated at every grid node."""
+    n_u = angular // 2 + 1 if angular % 2 == 0 else angular
+    r = np.arange(radial + 1) / radial
+    u = np.cos(2.0 * np.pi * np.arange(n_u) / angular)
+    r2 = r * r
+    const = A * A + B * B * r2 + C * C * r2 * r2 - 2.0 * A * C * r2
+    lin = 2.0 * (A * B * r + B * C * r * r2)
+    quad = 4.0 * A * C * r2
+    sq = const[:, None] + lin[:, None] * u[None, :] + quad[:, None] * (u * u)[None, :]
+    row_max = np.sqrt(np.maximum(sq.max(axis=1), 0.0))
+    return float(np.max(row_max + 1.0 - r2))
+
+
+def envelope_triples(rng, count):
+    """(e0, e1, e2) / e3 of the search envelope, the Y-lemma inputs of the
+    paper's second step, for random members of all three families."""
+    specs = [Spirallike(0.0, 0.0), *map(Ozaki, rng.uniform(0.05, 1.0, count)),
+             *map(Robertson, rng.uniform(0.5, 1.0, count))]
+    out = []
+    for spec in specs:
+        env = envelope(spec, float(rng.uniform(0.01, 0.99)))
+        out.append((env.e0 / env.e3, env.e1 / env.e3, env.e2 / env.e3))
+    return out
+
+
+#: A = 0, C = 0, B = 0, AC > 0 (convex rows), a vertex -B/(4Cr) outside
+#: [-1, 1] at every radius, the imaginary diameter, and tiny coefficients.
+DEGENERATE = [
+    (0.0, 1.5, -2.0), (-0.0, -3.0, 0.5), (2.0, -1.0, 0.0), (-1.0, 4.0, -0.0),
+    (1.5, 0.0, -2.5), (-3.0, 0.0, 0.7), (0.0, 0.0, 0.0), (0.0, 2.0, 0.0),
+    (2.0, 1.0, 3.0), (-1.0, -4.0, -0.5), (0.0, 0.0, -2.0), (4.0, 0.0, 0.0),
+    (1.0, 4.5, -1.0), (-2.0, -9.0, 2.0), (1.0, 0.0, -1.0), (1e-9, 1e-9, -1e-9),
+    (3.0, 1e-12, -1e-3), (1.0, 0.02, -1.0),
+]
+
+
+class TestFullScan:
+    @pytest.mark.parametrize("radial,angular,count", [(64, 256, 300), (128, 257, 300),
+                                                      (512, 2048, 40)])
+    def test_uniform(self, radial, angular, count):
+        rng = np.random.default_rng(radial + angular)
+        for scale in (0.25, 5.0):
+            for A, B, C in rng.uniform(-scale, scale, size=(count, 3)):
+                assert y_oracle(A, B, C, radial, angular) == _full_scan(A, B, C, radial, angular)
+
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (128, 257), (512, 2048)])
+    def test_envelope(self, radial, angular):
+        for A, B, C in envelope_triples(np.random.default_rng(angular), 15):
+            assert y_oracle(A, B, C, radial, angular) == _full_scan(A, B, C, radial, angular)
+
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (128, 257), (512, 2048)])
+    def test_degenerate(self, radial, angular):
+        for triple in DEGENERATE:
+            assert y_oracle(*triple, radial, angular) == _full_scan(*triple, radial, angular), triple
+
+
 class TestOracle:
     def test_origin(self):
         assert y_oracle(0, 0, 0) == pytest.approx(1.0)
@@ -78,6 +139,17 @@ class TestOracle:
             y_oracle(1, 1, 1, radial=100_000, angular=100_000)
         # The cap still admits a grid twice as fine as the default each way.
         assert y_oracle(1, 1, 1, radial=1024, angular=4096) == pytest.approx(3.0)
+
+    def test_memory(self):
+        # A full scan of this grid holds 1025 x 2049 doubles per temporary.
+        _oracle_nodes.cache_clear()
+        tracemalloc.start()
+        try:
+            y_oracle(1.0, -0.3, -2.0, radial=1024, angular=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestCertify:
