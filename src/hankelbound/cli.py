@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -272,7 +273,10 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hankelbound",
         description="Certify sharp bounds on the second Hankel determinant "

@@ -10,9 +10,11 @@ paper's two steps.  p3 enters affinely with a nonnegative coefficient, so
 its optimum is the unimodular value aligning phases; for e3 > 0 the
 maximum over p2 is then scale*e3*Y(e0/e3, e1/e3, e2/e3), the Y-lemma of
 ``ymax``, which also gives a maximising p2.  What is left is a 1-D search
-over p1 in [0, 1] on a grid refined in shrinking windows.  ``_grid_values``,
-the same value on a 3-D grid in (p1, |p2|, arg p2), is the tests'
-brute-force reference.
+over p1 in [0, 1] on a grid refined in shrinking windows.  Each round is
+one array pass: ``ymax.y_values`` takes the lemma on all its p1 nodes at
+once, and the scalar ``y_closed_form`` runs at most once a round, at a new
+best node, for its maximiser.  ``_grid_values``, the same value on a 3-D
+grid in (p1, |p2|, arg p2), is the tests' brute-force reference.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .caratheodory import SchurParams
 from .families import FAMILIES, FamilySpec, ParameterRangeError, Spirallike, sharp_bound
-from .ymax import y_closed_form
+from .ymax import y_closed_form, y_values
 
 _SHRINK = 8.0  # window shrink factor per refinement round
 
@@ -135,15 +137,17 @@ def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> S
         # Round 0 spans [0, 1]; each later one a window _SHRINK times narrower.
         half = 0.5 / _SHRINK ** t
         p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
-        scale, *coeffs = _envelope_arrays(spec, p1)
-        for x, e0, e1, e2, e3 in zip(p1.tolist(), *(c.tolist() for c in coeffs)):
-            if e3 == 0.0:  # p1 = 0 or 1, where e2 or e0 alone is non-zero
-                value, z = scale * (abs(e0) + abs(e1) + abs(e2)), 1.0
-            else:
-                y = y_closed_form(e0 / e3, e1 / e3, e2 / e3)
-                value, z = scale * e3 * y.value, y.z
-            if value > best:
-                best, bp1, bp2 = value, x, z
+        scale, e0, e1, e2, e3 = _envelope_arrays(spec, p1)
+        # Where e3 = 0 (p1 = 0 or 1) e2 or e0 alone is non-zero: z = 1.
+        value = scale * (np.abs(e0) + np.abs(e1) + np.abs(e2))
+        live = e3 != 0.0  # e3 >= 0, so e3 > 0
+        d = e3[live]
+        value[live] = scale * d * y_values(e0[live] / d, e1[live] / d, e2[live] / d)
+        i = int(np.argmax(value))  # the first of equal maxima: ties go to smaller p1
+        if value[i] > best:
+            best, bp1, bp2 = value[i], float(p1[i]), 1.0
+            if live[i]:
+                bp2 = y_closed_form(*(float(c[i] / e3[i]) for c in (e0, e1, e2))).z
 
     env = envelope(spec, bp1)
     p2 = complex(bp2)

@@ -2,11 +2,14 @@
 
 ``y_closed_form`` implements the piecewise formula exactly as stated for real
 A, B, C, recording which branch fired and a disk point where that branch's
-value is attained.  ``y_oracle`` is an independent maximization over a polar
-grid: on each circle the squared modulus is a quadratic in cos(theta), so
-only the end nodes and the nodes next to its vertex are evaluated, and the
-result is exactly the grid maximum.  ``y_certify`` checks the two against
-each other up to a grid-resolution allowance.
+value is attained.  ``y_values`` is its array twin: bit for bit the same
+value for every triple of three arrays, in one numpy pass, as the search
+needs on all p1 nodes of a refinement round at once.  ``y_oracle`` is an
+independent maximization over a polar grid: on each circle the squared
+modulus is a quadratic in cos(theta), so only the end nodes and the nodes
+next to its vertex are evaluated, and the result is exactly the grid
+maximum.  ``y_certify`` checks the two against each other up to a
+grid-resolution allowance.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ def y_closed_form(A: float, B: float, C: float) -> YResult:
     if t <= B * B and aB < 2.0 * (1.0 - aC):
         return YResult(1.0 - aA + aB * aB / (4.0 * (1.0 - aC)), YCase.NEG_FIRST,
                        -sA * B / (2.0 * (1.0 - aC)))
-    if B * B < min(4.0 * (1.0 + aC) ** 2, t):
+    # (1 + |C|) squared by a product: libm's pow is not correctly rounded,
+    # and y_values has no array twin of it.
+    if B * B < min(4.0 * ((1.0 + aC) * (1.0 + aC)), t):
         return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 + aC)), YCase.NEG_SECOND,
                        sA * B / (2.0 * (1.0 + aC)))
 
@@ -76,6 +81,46 @@ def y_closed_form(A: float, B: float, C: float) -> YResult:
     u = min(max(-B * (A + C) / (4.0 * A * C), -1.0), 1.0)
     return YResult((aA + aC) * math.sqrt(max(radicand, 0.0)), YCase.R_SQRT,
                    complex(u, math.sqrt(1.0 - u * u)))
+
+
+def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``y_closed_form(A[i], B[i], C[i]).value`` for every i, bit for bit.
+
+    Every branch's value and condition is computed on the whole arrays with
+    the scalar expressions, then ``np.select`` picks by the lemma's
+    precedence: it assigns from the last branch to the first, so that an
+    earlier branch overwrites a later one.  Branches that are not selected
+    may divide by zero or overflow; their inf and nan are discarded, so
+    floating-point errors are ignored here rather than reported.
+    """
+    A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
+    with np.errstate(all="ignore"):
+        aA, aB, aC = np.abs(A), np.abs(B), np.abs(C)
+        BB, aAaB, fourA = B * B, aA * aB, 4.0 * aA
+        om, op = 1.0 - aC, 1.0 + aC
+        two_om, four_AC = 2.0 * om, 4.0 * A * C
+        parabola = BB / (4.0 * om)
+        t = -four_AC * (1.0 / (C * C) - 1.0)  # -4AC(C^-2 - 1), negated exactly
+        cap = 4.0 * (op * op)
+        radicand = 1.0 - BB / four_AC
+        nonneg = A * C >= 0.0
+        conditions = [
+            nonneg & (aB - two_om >= 0.0),                  # AC_NONNEG_SUM
+            nonneg,                                         # AC_NONNEG_PARABOLA
+            (t <= BB) & (aB < two_om),                      # NEG_FIRST
+            BB < np.where(t < cap, t, cap),                 # NEG_SECOND: min(cap, t)
+            aAaB - aC * (aB + fourA) >= 0.0,                # R_SUM
+            aC * (aB - fourA) - aAaB >= 0.0,                # R_DIFF
+        ]
+        low = radicand < -1e-12
+        if low.any():
+            low &= ~np.logical_or.reduce(conditions)       # only R_SQRT entries
+            if low.any():
+                raise ValueError(f"negative radicand {float(radicand[low][0])!r} in R branch")
+        branches = [aA + aB + aC, 1.0 + aA + parabola, 1.0 - aA + parabola,
+                    1.0 + aA + BB / (4.0 * op), aA + aB - aC, -aA + aB + aC]
+        r_sqrt = (aA + aC) * np.sqrt(np.maximum(radicand, 0.0))
+        return np.select(conditions, branches, r_sqrt)
 
 
 @functools.lru_cache(maxsize=8)

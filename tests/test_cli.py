@@ -210,6 +210,37 @@ class TestGamma:
         assert exit_code(capsys, ["gamma", *literals, "--format", fmt]) == 2
 
 
+class TestParserReuse:
+    COMMANDS = [
+        ["verify", "--family", "ozaki", "--nu", "0.5", "--coarse", "64"],
+        ["ymax-certify", "--n", "5", "--seed", "3", "--radial", "64", "--angular", "256"],
+        ["sweep", "--family", "robertson", "--values", "0.5,1", "--format", "csv"],
+        ["gamma", "--koebe", "--format", "table"],
+        ["extremal", "--family", "spirallike", "--alpha", "0.25", "--beta", "0.5"],
+        ["verify", "--family", "ozaki", "--nu", "2"],
+        ["sweep", "--family", "ozaki", "--values", "0.5", "--tol", "nan"],
+    ]
+
+    def outcomes(self, capsys):
+        results = []
+        for argv in self.COMMANDS:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_shared_parser_gives_fresh_parser_output(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        shared = self.outcomes(capsys) + self.outcomes(capsys)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = self.outcomes(capsys) + self.outcomes(capsys)
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2, 2] * 2
+        assert shared == fresh
+
+
 class TestOutputFormats:
     def test_csv(self, capsys):
         code, out = run(capsys, [

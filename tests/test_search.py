@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,10 @@ from hankelbound.families import (
 )
 from hankelbound.hankel import h21
 from hankelbound.search import (
+    _SHRINK,
     MAX_COARSE,
+    SearchReport,
+    _envelope_arrays,
     _grid_values,
     bound_monotonicity,
     envelope,
@@ -26,6 +30,7 @@ from hankelbound.search import (
     sweep,
     value_p3_optimal,
 )
+from hankelbound.ymax import y_closed_form
 
 
 def random_spec(rng, tag):
@@ -34,6 +39,44 @@ def random_spec(rng, tag):
     if tag == "ozaki":
         return Ozaki(rng.uniform(0.05, 1.0))
     return Robertson(rng.uniform(0.5, 1.0))
+
+
+def _scalar_global_max(spec, coarse=128, refine_rounds=3):
+    """Reference search: the Y-lemma taken node by node with the scalar
+    ``y_closed_form``, as ``global_max`` did before its rounds became one
+    array pass each."""
+    best, bp1, bp2 = -math.inf, 0.5, 1.0
+    for t in range(refine_rounds + 1):
+        half = 0.5 / _SHRINK ** t
+        p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
+        scale, *coeffs = _envelope_arrays(spec, p1)
+        for x, e0, e1, e2, e3 in zip(p1.tolist(), *(c.tolist() for c in coeffs)):
+            if e3 == 0.0:
+                value, z = scale * (abs(e0) + abs(e1) + abs(e2)), 1.0
+            else:
+                y = y_closed_form(e0 / e3, e1 / e3, e2 / e3)
+                value, z = scale * e3 * y.value, y.z
+            if value > best:
+                best, bp1, bp2 = value, x, z
+    env = envelope(spec, bp1)
+    p2 = complex(bp2)
+    top = value_p3_optimal(env, p2)
+    bound = sharp_bound(spec)
+    return SearchReport(
+        family=spec,
+        max_abs_h21=top,
+        argmax=SchurParams(bp1, p2, optimal_p3(env, p2)),
+        bound=bound,
+        gap=bound - top,
+        grid=f"coarse={coarse}, refine_rounds={refine_rounds}, shrink={int(_SHRINK)}",
+    )
+
+
+def _bits(rep):
+    """The reported maximum and argmax, bit for bit (signed zeros included)."""
+    p2, p3 = complex(rep.argmax.p2), complex(rep.argmax.p3)
+    return tuple(float(x).hex() for x in (rep.max_abs_h21, rep.argmax.p1,
+                                          p2.real, p2.imag, p3.real, p3.imag))
 
 
 class TestEnvelope:
@@ -175,6 +218,26 @@ class TestGlobalMax:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_matches_scalar_search(self):
+        # 25 specs x 16 grid settings: each round's single array pass picks
+        # the same node, maximum and argmax as the node-by-node search.
+        rng = np.random.default_rng(47)
+        specs = [Ozaki(1.0), Robertson(0.5), Robertson(1.0), Spirallike(0.0, 0.0),
+                 *(random_spec(rng, tag) for tag in ("spirallike", "ozaki", "robertson")
+                   for _ in range(7))]
+        edge = 0
+        for spec in specs:
+            for coarse in (64, 128, 200, 256):
+                for rounds in (2, 3, 4, 5):
+                    rep = global_max(spec, coarse=coarse, refine_rounds=rounds)
+                    ref = _scalar_global_max(spec, coarse=coarse, refine_rounds=rounds)
+                    assert _bits(rep) == _bits(ref), (spec, coarse, rounds)
+                    assert rep == ref
+                    edge += rep.argmax.p1 == 0.0
+        # The spirallike maximum is flat near p1 = 0; the edge node p1 = 0,
+        # where e3 = 0 and the Y-lemma is not used, wins in many settings.
+        assert edge >= 32, edge
 
     def test_determinism(self):
         a = global_max(Robertson(0.7), coarse=64, refine_rounds=2)

@@ -1,12 +1,13 @@
 import collections
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from hankelbound.families import Ozaki, Robertson, Spirallike
-from hankelbound.search import envelope
+from hankelbound.search import envelope, global_max
 from hankelbound.ymax import (
     YCase,
     _oracle_nodes,
@@ -14,6 +15,7 @@ from hankelbound.ymax import (
     y_certify,
     y_closed_form,
     y_oracle,
+    y_values,
 )
 
 
@@ -111,6 +113,72 @@ class TestFullScan:
     def test_degenerate(self, radial, angular):
         for triple in DEGENERATE:
             assert y_oracle(*triple, radial, angular) == _full_scan(*triple, radial, angular), triple
+
+
+def _assert_values_match(triples):
+    """y_values on all triples at once equals y_closed_form(...).value on
+    each, bit for bit; returns the branch counts."""
+    A, B, C = np.array(triples, dtype=float).T
+    scalar = [y_closed_form(*t) for t in zip(A.tolist(), B.tolist(), C.tolist())]
+    expected = np.array([res.value for res in scalar])
+    got = y_values(A, B, C)
+    differ = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+    assert differ.size == 0, [(triples[i], got[i], expected[i]) for i in differ[:5]]
+    return collections.Counter(res.case_label for res in scalar)
+
+
+class TestValues:
+    def test_seeded_triples(self):
+        rng = np.random.default_rng(12)
+        triples = np.concatenate([rng.uniform(-s, s, size=(34_000, 3))
+                                  for s in (0.25, 1.0, 5.0)])
+        seen = _assert_values_match(triples.tolist())
+        assert min(seen[case] for case in YCase) >= 20, seen
+
+    def test_degenerate(self):
+        # DEGENERATE, |C| = 1 in both kinds, AC > 0, and the value set of
+        # sample_triples: zeros of both signs and the thresholds |B| = 2,
+        # |C| = 1.
+        # At (1e308, 1, -1) 4A overflows and t = inf * 0 is nan; Python's
+        # min(cap, t) is then cap, and NEG_SECOND is selected.
+        unit_c = [(0.5, 0.3, 1.0), (0.5, 2.5, -1.0), (-2.0, 1.0, 1.0), (0.0, 1.0, -1.0),
+                  (3.0, 0.0, -1.0), (-0.5, 2.0, 1.0), (1e308, 1.0, -1.0)]
+        positive_ac = [(2.0, 1.0, 3.0), (-1.0, -4.0, -0.5), (0.3, 0.1, 0.2), (-4.0, 5.0, -2.0)]
+        values = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0)
+        triples = [*DEGENERATE, *unit_c, *positive_ac, *itertools.product(values, repeat=3)]
+        _assert_values_match(triples)
+        for triple in [*DEGENERATE, *unit_c, *positive_ac]:
+            _assert_values_match([triple])
+        assert y_values(1.0, 0.0, -1.0) == y_closed_form(1.0, 0.0, -1.0).value == 2.0
+
+    def test_envelope_triples(self):
+        _assert_values_match(envelope_triples(np.random.default_rng(13), 200))
+
+    def test_r_sqrt_radicand_is_at_least_one(self):
+        # In R_SQRT AC < 0, so 1 - B^2/(4AC) >= 1: the negative-radicand
+        # guard of both functions cannot fire for real A, B, C, even at
+        # extreme magnitudes.
+        rng = np.random.default_rng(14)
+        mags = 10.0 ** rng.uniform(-150, 150, size=(20_000, 3))
+        triples = (mags * rng.choice([-1.0, 1.0], size=mags.shape)).tolist()
+        r_sqrt = [t for t in triples if abs(t[2]) > 1e-150
+                  and y_closed_form(*t).case_label is YCase.R_SQRT]
+        assert len(r_sqrt) >= 20
+        for A, B, C in r_sqrt:
+            assert 1.0 - B * B / (4.0 * A * C) >= 1.0
+        _assert_values_match(r_sqrt)
+
+    def test_strict_floating_point_caller(self):
+        # Unselected branches divide by zero (C = 0) and overflow; a caller
+        # that turns every warning and floating-point error into an
+        # exception must still see none.
+        triples = np.array([*DEGENERATE, (1e200, 1e200, -1e200), (0.0, 0.0, 1e-200)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            y_values(*triples.T)
+            for spec in (Spirallike(0.0, 0.0), Spirallike(0.5, 1.0), Ozaki(1.0),
+                         Ozaki(0.05), Robertson(0.5), Robertson(1.0)):
+                global_max(spec)
 
 
 class TestOracle:
