@@ -20,6 +20,7 @@ from .families import (
     coeffs_closed_form,
     coeffs_ode_oracle,
     extremal_coeffs,
+    make_spec,
     s_critical,
     sharp_bound,
 )
@@ -29,7 +30,6 @@ from .search import (
     SearchReport,
     envelope,
     global_max,
-    make_spec,
     sweep,
     value_p3_optimal,
 )

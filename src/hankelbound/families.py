@@ -4,7 +4,8 @@ The families come in two kinds.  Spirallike functions satisfy
 zf'/f = 1 + k(p - 1) with the complex factor k = (1 - alpha) cos(beta)
 e^{i*beta}.  The curvature classes satisfy zf''/f' = (m/2)(p - 1) with a
 real m: m = -nu for Ozaki's class and m = 2*lambda + 1 for the Robertson
-class.  Every curvature formula below is written once, in m.
+class.  Every curvature formula below is written once, in m, and no other
+module tells the kinds apart: the search envelope is here too.
 
 Coefficients (a2, a3, a4) are available through two independent routes:
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from .caratheodory import CTriple
-from .series import DEFAULT_ORDER, PowerSeries, SeriesDomainError, exp_unit, pow_complex
+from .series import PowerSeries, SeriesDomainError, exp_unit
 
 _HALF_PI = math.pi / 2.0
 
@@ -97,6 +98,15 @@ FAMILIES = {
 }
 
 
+def make_spec(family: str, value: float, beta: float = 0.0) -> FamilySpec:
+    """Build a FamilySpec from a family tag and its swept parameter."""
+    if family.lower() not in FAMILIES:
+        raise ParameterRangeError(f"unknown family tag {family!r}")
+    cls, names = FAMILIES[family.lower()]
+    swept, *fixed = names.values()  # the one fixed parameter is spirallike's beta
+    return cls(**{swept: value}, **{attr: beta for attr in fixed})
+
+
 def family_fields(spec: FamilySpec) -> dict[str, Any]:
     """{"family": tag, <parameter name>: value, ...} in CLI/JSON names."""
     tag, names = next((t, n) for t, (cls, n) in FAMILIES.items() if cls is type(spec))
@@ -150,6 +160,25 @@ def coeffs_ode_oracle(spec: FamilySpec, p: PowerSeries) -> CoeffTriple:
     return CoeffTriple(s[1] / denom[0], s[2] / denom[1], s[3] / denom[2])
 
 
+def envelope_arrays(spec: FamilySpec, p1):
+    """(scale, e0, e1, e2, e3) of the search envelope at p1, a float or an array."""
+    q = 1.0 - p1 * p1
+    if isinstance(spec, Spirallike):
+        scale = (1.0 - spec.alpha) ** 2 * math.cos(spec.beta) ** 2 / 12.0
+        e0 = p1 ** 4
+        e1 = 2.0 * q * p1 * p1
+        e2 = -q * (3.0 + p1 * p1)
+        e3 = 4.0 * p1 * q
+    else:
+        m = spec.m
+        scale = m * m / 2304.0
+        e0 = (-m * m + 4.0 * m + 8.0) * p1 ** 4
+        e1 = 4.0 * (m + 4.0) * q * p1 * p1
+        e2 = -8.0 * (2.0 + p1 * p1) * q
+        e3 = 24.0 * p1 * q
+    return scale, e0, e1, e2, e3
+
+
 def s_critical(spec: FamilySpec) -> float:
     """Location in (0, 1) of the interior maximum of the reduced objective."""
     if isinstance(spec, Spirallike):
@@ -161,9 +190,8 @@ def s_critical(spec: FamilySpec) -> float:
 def extremal_coeffs(spec: FamilySpec) -> CoeffTriple:
     """Coefficients of the function attaining the sharp bound."""
     if isinstance(spec, Spirallike):
-        base = PowerSeries.from_poly([1.0, 0.0, -1.0], DEFAULT_ORDER)
-        fz = pow_complex(base, -spec.k)  # series of z/(1-z^2)^k divided by z
-        return CoeffTriple(fz[1], fz[2], fz[3])
+        # z/(1-z^2)^k = z + k z^3 + O(z^5): the series is odd.
+        return CoeffTriple(0j, spec.k, 0j)
     m, s = spec.m, s_critical(spec)
     a2 = m * s / 2.0
     a3 = m * ((m + 2.0) * s * s - 1.0) / 6.0

@@ -5,15 +5,15 @@ invariance) has the form
 
     scale * (e0 + e1*p2 + e2*p2^2 + e3*(1 - |p2|^2)*p3)
 
-with real e0..e3 depending on p1 only and e3 >= 0.  The search takes the
-paper's two steps.  p3 enters affinely with a nonnegative coefficient, so
-its optimum is the unimodular value aligning phases; for e3 > 0 the
-maximum over p2 is then scale*e3*Y(e0/e3, e1/e3, e2/e3), the Y-lemma of
-``ymax``, which also gives a maximising p2.  What is left is a 1-D search
-over p1 in [0, 1] on a grid refined in shrinking windows.  Each round is
-one array pass: ``ymax.y_values`` takes the lemma on all its p1 nodes at
-once, and the scalar ``y_closed_form`` runs at most once a round, at a new
-best node, for its maximiser.  ``_grid_values``, the same value on a 3-D
+with real e0..e3 depending on p1 only and e3 >= 0, all taken from
+``families.envelope_arrays``: nothing here tells the family kinds apart.
+The search takes the paper's two steps.  p3 enters affinely with a
+nonnegative coefficient, so its optimum is the unimodular value aligning
+phases; for e3 > 0 the maximum over p2 is then scale*e3*Y(e0/e3, e1/e3,
+e2/e3), the Y-lemma of ``ymax``.  What is left is a 1-D search over p1 in
+[0, 1] on a grid refined in shrinking windows.  Each round is one array
+pass of ``ymax.y_values``; the scalar ``y_closed_form`` runs once, at the
+best node, for a maximising p2.  ``_grid_values``, the same value on a 3-D
 grid in (p1, |p2|, arg p2), is the tests' brute-force reference.
 """
 
@@ -25,13 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import SchurParams
-from .families import FAMILIES, FamilySpec, ParameterRangeError, Spirallike, sharp_bound
+from .families import FamilySpec, ParameterRangeError, envelope_arrays, make_spec, sharp_bound
 from .ymax import y_closed_form, y_values
 
 _SHRINK = 8.0  # window shrink factor per refinement round
 
 #: Largest coarse grid, in p1 nodes less one.
 MAX_COARSE = 256
+#: Largest refine_rounds.  Round t spaces its nodes 8^-t/coarse apart, which
+#: at coarse 64 is 2^-(3t+6); at t = 16 that is 2^-54, below the spacing of
+#: doubles in [0.5, 1], so further rounds cannot move the result there.
+MAX_REFINE_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -55,30 +59,11 @@ class SearchReport:
     grid: str
 
 
-def _envelope_arrays(spec: FamilySpec, p1: np.ndarray):
-    """Vectorized envelope coefficients; returns (scale, e0, e1, e2, e3)."""
-    q = 1.0 - p1 * p1
-    if isinstance(spec, Spirallike):
-        scale = (1.0 - spec.alpha) ** 2 * math.cos(spec.beta) ** 2 / 12.0
-        e0 = p1 ** 4
-        e1 = 2.0 * q * p1 * p1
-        e2 = -q * (3.0 + p1 * p1)
-        e3 = 4.0 * p1 * q
-    else:
-        m = spec.m
-        scale = m * m / 2304.0
-        e0 = (-m * m + 4.0 * m + 8.0) * p1 ** 4
-        e1 = 4.0 * (m + 4.0) * q * p1 * p1
-        e2 = -8.0 * (2.0 + p1 * p1) * q
-        e3 = 24.0 * p1 * q
-    return scale, e0, e1, e2, e3
-
-
 def envelope(spec: FamilySpec, p1: float) -> Envelope:
     """Envelope coefficients of H_{2,1} at a single p1 in [0, 1]."""
     if not 0.0 <= p1 <= 1.0:
         raise ParameterRangeError(f"p1 must lie in [0, 1], got {p1!r}")
-    scale, e0, e1, e2, e3 = _envelope_arrays(spec, np.asarray(p1, dtype=float))
+    scale, e0, e1, e2, e3 = envelope_arrays(spec, np.asarray(p1, dtype=float))
     return Envelope(float(scale), float(e0), float(e1), float(e2), float(e3))
 
 
@@ -112,7 +97,7 @@ def optimal_p3(env: Envelope, p2: complex) -> complex:
 
 def _grid_values(spec: FamilySpec, p1: np.ndarray, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """values[i, j, k] = value_p3_optimal at (p1[i], r[j]*e^{i*phi[k]})."""
-    scale, e0, e1, e2, e3 = _envelope_arrays(spec, p1)
+    scale, e0, e1, e2, e3 = envelope_arrays(spec, p1)
     p2 = r[:, None] * np.exp(1j * phi)[None, :]
     p2sq = p2 * p2
     inner = (
@@ -131,13 +116,15 @@ def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> S
         raise ValueError(f"coarse must lie in [64, {MAX_COARSE}], got {coarse!r}")
     if refine_rounds < 2:
         raise ValueError("refine_rounds must be >= 2")
+    if refine_rounds > MAX_REFINE_ROUNDS:
+        raise ValueError(f"refine_rounds must be <= {MAX_REFINE_ROUNDS}, got {refine_rounds!r}")
 
-    best, bp1, bp2 = -math.inf, 0.5, 1.0
+    best, bp1 = -math.inf, 0.5
     for t in range(refine_rounds + 1):
         # Round 0 spans [0, 1]; each later one a window _SHRINK times narrower.
         half = 0.5 / _SHRINK ** t
         p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
-        scale, e0, e1, e2, e3 = _envelope_arrays(spec, p1)
+        scale, e0, e1, e2, e3 = envelope_arrays(spec, p1)
         # Where e3 = 0 (p1 = 0 or 1) e2 or e0 alone is non-zero: z = 1.
         value = scale * (np.abs(e0) + np.abs(e1) + np.abs(e2))
         live = e3 != 0.0  # e3 >= 0, so e3 > 0
@@ -145,12 +132,11 @@ def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> S
         value[live] = scale * d * y_values(e0[live] / d, e1[live] / d, e2[live] / d)
         i = int(np.argmax(value))  # the first of equal maxima: ties go to smaller p1
         if value[i] > best:
-            best, bp1, bp2 = value[i], float(p1[i]), 1.0
-            if live[i]:
-                bp2 = y_closed_form(*(float(c[i] / e3[i]) for c in (e0, e1, e2))).z
+            best, bp1 = value[i], float(p1[i])
 
     env = envelope(spec, bp1)
-    p2 = complex(bp2)
+    z = y_closed_form(env.e0 / env.e3, env.e1 / env.e3, env.e2 / env.e3).z if env.e3 else 1.0
+    p2 = complex(z)  # z = 1 where e3 = 0, as in the rounds
     top = value_p3_optimal(env, p2)
     bound = sharp_bound(spec)
     return SearchReport(
@@ -168,15 +154,6 @@ def sweep(family: str, values, coarse: int = 128, refine_rounds: int = 3,
     """One SearchReport per parameter value; any bad value aborts up front."""
     specs = [make_spec(family, v, beta=beta) for v in values]
     return [global_max(s, coarse=coarse, refine_rounds=refine_rounds) for s in specs]
-
-
-def make_spec(family: str, value: float, beta: float = 0.0) -> FamilySpec:
-    """Build a FamilySpec from a family tag and its swept parameter."""
-    if family.lower() not in FAMILIES:
-        raise ParameterRangeError(f"unknown family tag {family!r}")
-    cls, names = FAMILIES[family.lower()]
-    swept, *fixed = names.values()  # the one fixed parameter is spirallike's beta
-    return cls(**{swept: value}, **{attr: beta for attr in fixed})
 
 
 def bound_monotonicity(reports: list[SearchReport]) -> str:

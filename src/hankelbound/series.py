@@ -115,8 +115,3 @@ def exp_unit(a: PowerSeries) -> PowerSeries:
         b[m] = acc / m
     return PowerSeries(b)
 
-
-def pow_complex(a: PowerSeries, w: complex) -> PowerSeries:
-    """a**w for a series with constant term 1, via exp(w * log a)."""
-    s = log_unit(a)
-    return exp_unit(PowerSeries(w * s.coeffs))

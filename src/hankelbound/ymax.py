@@ -57,8 +57,9 @@ def y_closed_form(A: float, B: float, C: float) -> YResult:
         return YResult(1.0 + aA + aB * aB / (4.0 * (1.0 - aC)), YCase.AC_NONNEG_PARABOLA,
                        sAC * B / (2.0 * (1.0 - aC)))
 
-    # AC < 0 from here on; C != 0 so C**-2 is safe.
-    t = -4.0 * A * C * (1.0 / (C * C) - 1.0)
+    # AC < 0 from here on, so C != 0; if C*C underflows, C^-2 is inf, as in y_values.
+    cc = C * C
+    t = -4.0 * A * C * ((1.0 / cc if cc else math.inf) - 1.0)
     if t <= B * B and aB < 2.0 * (1.0 - aC):
         return YResult(1.0 - aA + aB * aB / (4.0 * (1.0 - aC)), YCase.NEG_FIRST,
                        -sA * B / (2.0 * (1.0 - aC)))
@@ -75,11 +76,10 @@ def y_closed_form(A: float, B: float, C: float) -> YResult:
         return YResult(aA + aB - aC, YCase.R_SUM, sA * sB)
     if aC * (aB - 4.0 * aA) - aA * aB >= 0.0:
         return YResult(-aA + aB + aC, YCase.R_DIFF, -sA * sB)
+    # AC < 0, so the radicand is at least 1 (or nan for non-finite input).
     radicand = 1.0 - B * B / (4.0 * A * C)
-    if radicand < -1e-12:
-        raise ValueError(f"negative radicand {radicand!r} in R branch")
     u = min(max(-B * (A + C) / (4.0 * A * C), -1.0), 1.0)
-    return YResult((aA + aC) * math.sqrt(max(radicand, 0.0)), YCase.R_SQRT,
+    return YResult((aA + aC) * math.sqrt(radicand), YCase.R_SQRT,
                    complex(u, math.sqrt(1.0 - u * u)))
 
 
@@ -112,14 +112,9 @@ def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
             aAaB - aC * (aB + fourA) >= 0.0,                # R_SUM
             aC * (aB - fourA) - aAaB >= 0.0,                # R_DIFF
         ]
-        low = radicand < -1e-12
-        if low.any():
-            low &= ~np.logical_or.reduce(conditions)       # only R_SQRT entries
-            if low.any():
-                raise ValueError(f"negative radicand {float(radicand[low][0])!r} in R branch")
         branches = [aA + aB + aC, 1.0 + aA + parabola, 1.0 - aA + parabola,
                     1.0 + aA + BB / (4.0 * op), aA + aB - aC, -aA + aB + aC]
-        r_sqrt = (aA + aC) * np.sqrt(np.maximum(radicand, 0.0))
+        r_sqrt = (aA + aC) * np.sqrt(radicand)
         return np.select(conditions, branches, r_sqrt)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hankelbound import cli, hankel, search
 from hankelbound.cli import MAX_CERTIFY_N, main
+from hankelbound.search import MAX_REFINE_ROUNDS
 from hankelbound.ymax import YCase
 
 
@@ -95,6 +96,16 @@ class TestSweep:
     def test_coarse_above_cap_exits_2(self, capsys):
         argv = ["sweep", "--family", "robertson", "--values", "0.5", "--coarse", "100000"]
         assert exit_code(capsys, argv) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "--family", "ozaki"],
+                                  ["sweep", "--family", "ozaki", "--values", "0.5,1"]])
+def test_refine_rounds_above_cap_exits_2(capsys, argv):
+    code = main([*argv, "--refine-rounds", str(MAX_REFINE_ROUNDS + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "refine_rounds" in captured.err
 
 
 class TestYmaxCertify:

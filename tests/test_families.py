@@ -17,7 +17,7 @@ from hankelbound.families import (
     sharp_bound,
 )
 from hankelbound.hankel import h21
-from hankelbound.series import PowerSeries
+from hankelbound.series import PowerSeries, exp_unit, log_unit
 
 HALF_PLANE = CTriple(2.0, 2.0, 2.0)
 
@@ -131,6 +131,20 @@ class TestExtremal:
         assert abs(a.a2) <= 1e-14
         assert a.a3 == pytest.approx(1.0)
         assert abs(h21(a)) == pytest.approx(0.25)
+
+    def test_spirallike_extremal_expansion(self):
+        # The extremal f/z = (1-z^2)^-k = exp(-k log(1-z^2)), expanded as a
+        # series, has the closed-form coefficients (0, k, 0) bit for bit,
+        # signed zeros included.
+        def bits(a):
+            return [(repr(z.real), repr(z.imag)) for z in (a.a2, a.a3, a.a4)]
+
+        log_base = log_unit(PowerSeries.from_poly([1.0, 0.0, -1.0], 3))
+        for alpha in np.linspace(0.0, 0.95, 12):
+            for beta in np.linspace(-1.5, 1.5, 13):
+                spec = Spirallike(float(alpha), float(beta))
+                fz = exp_unit(PowerSeries(-spec.k * log_base.coeffs))
+                assert bits(extremal_coeffs(spec)) == bits(CoeffTriple(fz[1], fz[2], fz[3]))
 
     def test_ozaki_extremal_uses_critical_point(self):
         s = s_critical(Ozaki(1.0))

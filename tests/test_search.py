@@ -11,6 +11,8 @@ from hankelbound.families import (
     Robertson,
     Spirallike,
     coeffs_closed_form,
+    envelope_arrays,
+    make_spec,
     s_critical,
     sharp_bound,
 )
@@ -18,14 +20,13 @@ from hankelbound.hankel import h21
 from hankelbound.search import (
     _SHRINK,
     MAX_COARSE,
+    MAX_REFINE_ROUNDS,
     SearchReport,
-    _envelope_arrays,
     _grid_values,
     bound_monotonicity,
     envelope,
     envelope_value,
     global_max,
-    make_spec,
     optimal_p3,
     sweep,
     value_p3_optimal,
@@ -49,7 +50,7 @@ def _scalar_global_max(spec, coarse=128, refine_rounds=3):
     for t in range(refine_rounds + 1):
         half = 0.5 / _SHRINK ** t
         p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
-        scale, *coeffs = _envelope_arrays(spec, p1)
+        scale, *coeffs = envelope_arrays(spec, p1)
         for x, e0, e1, e2, e3 in zip(p1.tolist(), *(c.tolist() for c in coeffs)):
             if e3 == 0.0:
                 value, z = scale * (abs(e0) + abs(e1) + abs(e2)), 1.0
@@ -165,6 +166,9 @@ class TestGlobalMax:
             global_max(Ozaki(1.0), coarse=32)
         with pytest.raises(ValueError):
             global_max(Ozaki(1.0), refine_rounds=1)
+        with pytest.raises(ValueError):
+            global_max(Ozaki(1.0), refine_rounds=MAX_REFINE_ROUNDS + 1)
+        global_max(Ozaki(1.0), coarse=64, refine_rounds=MAX_REFINE_ROUNDS)
 
     def test_starlike(self):
         rep = global_max(Spirallike(0.0, 0.0))

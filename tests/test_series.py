@@ -9,7 +9,6 @@ from hankelbound.series import (
     div,
     exp_unit,
     log_unit,
-    pow_complex,
 )
 
 
@@ -44,8 +43,9 @@ class TestLogExp:
         coeffs_close(log_unit(PowerSeries.one(5)), np.zeros(6))
 
     def test_koebe_log_coefficients(self):
-        # log(f/z) for the Koebe function has coefficient 2/n of z^n.
-        fz = pow_complex(PowerSeries.from_poly([1, -1], 8), -2)
+        # log(f/z) for the Koebe function, f/z = (1-z)^-2 = sum (n+1) z^n,
+        # has coefficient 2/n of z^n.
+        fz = PowerSeries(np.arange(1, 10))
         s = log_unit(fz)
         expected = [0.0] + [2.0 / n for n in range(1, 9)]
         coeffs_close(s, expected, tol=1e-12)
@@ -72,30 +72,6 @@ class TestLogExp:
     def test_exp_requires_zero_constant_term(self):
         with pytest.raises(SeriesDomainError):
             exp_unit(PowerSeries.from_poly([1, 1], 3))
-
-
-class TestPow:
-    def test_geometric_in_z_squared(self):
-        p = pow_complex(PowerSeries.from_poly([1, 0, -1], 4), -1)
-        coeffs_close(p, [1, 0, 1, 0, 1], tol=1e-12)
-
-    def test_binomial(self):
-        p = pow_complex(PowerSeries.from_poly([1, -1], 2), -2)
-        coeffs_close(p, [1, 2, 3], tol=1e-12)
-
-    def test_spirallike_extremal_expansion(self):
-        # (1-z^2)^(-w) with w = 1 (alpha = beta = 0): a2 = 0, a3 = 1.
-        p = pow_complex(PowerSeries.from_poly([1, 0, -1], 3), -1)
-        assert abs(p[1]) <= 1e-14
-        assert abs(p[2] - 1.0) <= 1e-14
-
-    def test_pow_one_and_zero(self):
-        rng = np.random.default_rng(11)
-        c = rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7)
-        c[0] = 1.0
-        a = PowerSeries(c)
-        coeffs_close(pow_complex(a, 1.0), a.coeffs, tol=1e-12)
-        coeffs_close(pow_complex(a, 0.0), PowerSeries.one(6).coeffs, tol=1e-12)
 
 
 def _random_unit_series(rng, order):

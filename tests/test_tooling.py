@@ -22,8 +22,9 @@ def test_no_bare_assert(path):
 
 def test_search_rounds_are_array_passes(monkeypatch):
     # Each refinement round takes the Y-lemma on all its p1 nodes in one
-    # y_values call; the scalar lemma runs at most once a round, for a new
-    # best node's maximiser.  A per-node loop would call it ~129 times.
+    # y_values call; the scalar lemma runs once, after the last round, for
+    # the best node's maximiser, and not at all when that node has e3 = 0
+    # (p1 = 0 or 1).  A per-node loop would call it ~129 times.
     calls = []
     scalar = search.y_closed_form
 
@@ -34,5 +35,24 @@ def test_search_rounds_are_array_passes(monkeypatch):
     monkeypatch.setattr(search, "y_closed_form", counted)
     for spec in (Spirallike(0.3, 0.4), Ozaki(0.5), Robertson(0.75)):
         calls.clear()
-        search.global_max(spec)
-        assert len(calls) <= 3 + 1, (spec, len(calls))
+        p1 = search.global_max(spec).argmax.p1
+        assert len(calls) == (0.0 < p1 < 1.0), (spec, p1, len(calls))
+
+
+FAMILY_CLASSES = {"Spirallike", "Ozaki", "Robertson"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "families.py"],
+                         ids=lambda p: p.name)
+def test_family_kinds_known_to_families_alone(path):
+    # Only families.py tells the kinds apart; __init__.py re-exports the
+    # classes, and cli.py reads the FAMILIES table for its --family choices.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {"FAMILIES"} if path.name == "cli.py" else set()
+    if path.name == "__init__.py":
+        allowed |= FAMILY_CLASSES
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not (named & (FAMILY_CLASSES | {"FAMILIES"})) - allowed, path.name

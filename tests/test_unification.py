@@ -13,7 +13,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from hankelbound import caratheodory, families, hankel, search  # noqa: E402
+from hankelbound import caratheodory, families, hankel  # noqa: E402
 from hankelbound.families import Ozaki, Robertson, Spirallike  # noqa: E402
 
 P1 = sp.Symbol("p1", real=True)
@@ -84,7 +84,7 @@ def envelope_terms(h):
 @pytest.mark.usefixtures("symbolic_ctriple")
 def test_curvature_envelope_from_coefficients():
     spec = SimpleNamespace(m=M)
-    scale, *e = search._envelope_arrays(spec, P1)
+    scale, *e = families.envelope_arrays(spec, P1)
     derived = envelope_terms(h21_symbolic(spec) / exact(scale))
     for name, want, got in zip(("e0", "e1", "e2", "e3"), e, derived):
         assert same(want, got), name
@@ -94,14 +94,14 @@ def test_curvature_envelope_from_coefficients():
 def test_spirallike_envelope_from_coefficients():
     # H_{2,1} = k^2/12 * (...); the phase of k^2 is the rotation the search
     # drops, and its modulus is the envelope scale checked below.
-    scale, *e = search._envelope_arrays(Spirallike(0.0, 0.0), P1)
+    scale, *e = families.envelope_arrays(Spirallike(0.0, 0.0), P1)
     assert scale == pytest.approx(1.0 / 12.0)
     derived = envelope_terms(h21_symbolic(SpirallikeK(0.0, 0.0)) * 12 / K ** 2)
     for name, want, got in zip(("e0", "e1", "e2", "e3"), e, derived):
         assert same(want, got), name
     for alpha, beta in ((0.0, 0.0), (0.3, -1.1), (0.9, 0.7)):
         spec = Spirallike(alpha, beta)
-        scale = search._envelope_arrays(spec, P1)[0]
+        scale = families.envelope_arrays(spec, P1)[0]
         assert scale == pytest.approx(abs(spec.k) ** 2 / 12.0, rel=1e-14)
 
 
@@ -173,7 +173,7 @@ def test_sharp_bound(reference):
 
 
 def test_envelope(reference):
-    got = search._envelope_arrays(reference["spec"], P1)
+    got = families.envelope_arrays(reference["spec"], P1)
     for name, g, want in zip(("scale", "e0", "e1", "e2", "e3"), got, reference["envelope"]):
         assert same(g, want), name
 

@@ -140,9 +140,11 @@ class TestValues:
         # sample_triples: zeros of both signs and the thresholds |B| = 2,
         # |C| = 1.
         # At (1e308, 1, -1) 4A overflows and t = inf * 0 is nan; Python's
-        # min(cap, t) is then cap, and NEG_SECOND is selected.
+        # min(cap, t) is then cap, and NEG_SECOND is selected.  At C = -1e-170,
+        # C*C underflows to 0 and C^-2 is inf in both functions.
         unit_c = [(0.5, 0.3, 1.0), (0.5, 2.5, -1.0), (-2.0, 1.0, 1.0), (0.0, 1.0, -1.0),
-                  (3.0, 0.0, -1.0), (-0.5, 2.0, 1.0), (1e308, 1.0, -1.0)]
+                  (3.0, 0.0, -1.0), (-0.5, 2.0, 1.0), (1e308, 1.0, -1.0),
+                  (1e200, 0.0, -1e-170), (1.0, 0.5, -1e-170)]
         positive_ac = [(2.0, 1.0, 3.0), (-1.0, -4.0, -0.5), (0.3, 0.1, 0.2), (-4.0, 5.0, -2.0)]
         values = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0)
         triples = [*DEGENERATE, *unit_c, *positive_ac, *itertools.product(values, repeat=3)]
@@ -150,6 +152,8 @@ class TestValues:
         for triple in [*DEGENERATE, *unit_c, *positive_ac]:
             _assert_values_match([triple])
         assert y_values(1.0, 0.0, -1.0) == y_closed_form(1.0, 0.0, -1.0).value == 2.0
+        assert y_closed_form(1e200, 0.0, -1e-170).value == 1e200
+        assert y_closed_form(1.0, 0.5, -1e-170).value == 2.0625
 
     def test_envelope_triples(self):
         _assert_values_match(envelope_triples(np.random.default_rng(13), 200))
