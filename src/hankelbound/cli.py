@@ -77,6 +77,20 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _values(text: str) -> list[float]:
+    """argparse type of --values: one or more comma-separated numbers."""
+    values = []
+    for item in text.split(","):
+        if item.strip():
+            try:
+                values.append(float(item))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"no value given in {text!r}")
+    return values
+
+
 def _report_row(rep: SearchReport) -> dict[str, Any]:
     row = family_fields(rep.family)
     row.update(
@@ -154,14 +168,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    reports = sweep(args.family, values, coarse=args.coarse,
+    reports = sweep(args.family, args.values, coarse=args.coarse,
                     refine_rounds=args.refine_rounds, beta=args.beta)
     ok = all(GAP_FLOOR <= rep.gap <= args.tol for rep in reports)
     worst = max(rep.gap for rep in reports)
     config = {
         "family": args.family,
-        "values": values,
+        "values": args.values,
         "beta": args.beta,
         "coarse": args.coarse,
         "refine_rounds": args.refine_rounds,
@@ -180,10 +193,10 @@ def cmd_ymax_certify(args: argparse.Namespace) -> int:
     worst_triple = [0.0, 0.0, 0.0]
     passed = 0
     cases = dict.fromkeys((case.value for case in YCase), 0)
-    for A, B, C in triples:
+    grids = y_oracle(*triples.T, radial=args.radial, angular=args.angular)
+    for (A, B, C), grid in zip(triples, grids):
         res = y_closed_form(A, B, C)
         cases[res.case_label.value] += 1
-        grid = y_oracle(A, B, C, radial=args.radial, angular=args.angular)
         disc = abs(res.value - grid)
         if disc <= args.tol + grid_allowance(B, C, args.radial, args.angular):
             passed += 1
@@ -296,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="verify over a list of parameter values")
     p.add_argument("--family", choices=list(FAMILIES), required=True)
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", type=_values, required=True,
                    help="comma-separated parameter values (alpha, nu, or lambda)")
     p.add_argument("--beta", type=float, default=0.0,
                    help="fixed beta for spirallike sweeps")

@@ -8,8 +8,11 @@ needs on all p1 nodes of a refinement round at once.  ``y_oracle`` is an
 independent maximization over a polar grid: on each circle the squared
 modulus is a quadratic in cos(theta), so only the end nodes and the nodes
 next to its vertex are evaluated, and the result is exactly the grid
-maximum.  ``y_certify`` checks the two against each other up to a
-grid-resolution allowance.
+maximum.  It takes one triple or arrays of many, in chunks of a fixed number
+of (triple, radius) pairs with the radius on the last axis; each element is
+computed by the same expression either way, so a batched maximum is bit for
+bit the single-triple one.  ``y_certify`` checks the lemma against the
+oracle, one triple at a time, up to a grid-resolution allowance.
 """
 
 from __future__ import annotations
@@ -120,28 +123,30 @@ def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _oracle_nodes(radial: int, angular: int, n_u: int) -> tuple[np.ndarray, ...]:
-    """Radii, squared radii and the first n_u grid cosines, sorted.
+    """Radii, squared radii and the first n_u grid cosines, sorted and padded
+    by their end values, two on each side.
 
     The arrays are shared by every call with the same grid, so they are
     returned read-only.
     """
     r = np.arange(radial + 1) / radial
     u = np.sort(np.cos(2.0 * np.pi * np.arange(n_u) / angular))
-    nodes = (r, r * r, u)
+    nodes = (r, r * r, np.pad(u, 2, mode="edge"))
     for a in nodes:
         a.flags.writeable = False
     return nodes
 
 
-#: Offsets, from the vertex's insertion point in the sorted cosines, of the
-#: nodes that can hold a concave row's grid maximum: two on each side, as for
-#: odd angular counts theta_k and 2*pi - theta_k give near-equal cosines.
-_VERTEX_OFFSETS = np.arange(-2, 2)
+#: Elements, 8 bytes each, per (triples x radii) chunk of y_oracle's temporaries.
+ORACLE_CHUNK = 8192
 
 
-def y_oracle(A: float, B: float, C: float, radial: int = CERT_RADIAL,
-             angular: int = CERT_ANGULAR) -> float:
+def y_oracle(A: float | np.ndarray, B: float | np.ndarray, C: float | np.ndarray,
+             radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR) -> float | np.ndarray:
     """Maximum of |A + Bz + Cz^2| + 1 - |z|^2 over the polar grid.
+
+    A, B and C are floats, or arrays of one shape; the result is a float,
+    or an array of that shape holding the grid maximum of every triple.
 
     The grid is r_j = j/radial (j = 0..radial, so r = 0 and r = 1 are
     included) times theta_k = 2*pi*k/angular.  For real coefficients the
@@ -152,26 +157,55 @@ def y_oracle(A: float, B: float, C: float, radial: int = CERT_RADIAL,
     lowest, with the same floating-point expression as a scan of every node,
     so the result is exactly the grid maximum.  Nothing here uses the
     piecewise formula of ``y_closed_form``.
+
+    Triples are taken in chunks of about ``ORACLE_CHUNK`` (triple, radius)
+    pairs, with the radius on the last axis, so temporaries stay small for
+    any count and grid.  Every element is computed by the same expression
+    as for one triple alone, so batching does not change a bit.
     """
+    A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
+    if not A.shape == B.shape == C.shape:
+        raise ValueError(f"A, B and C differ in shape: {A.shape}, {B.shape}, {C.shape}")
     # theta_k and 2*pi - theta_k give the same cos, hence the same value;
     # for even angular counts the distinct cosines are k = 0..angular/2.
     n_u = angular // 2 + 1 if angular % 2 == 0 else angular
     if radial < 64 or angular < 256 or (radial + 1) * n_u > MAX_ORACLE_NODES:
         raise ValueError(f"need radial >= 64, angular >= 256, nodes <= {MAX_ORACLE_NODES}")
-    r, r2, u = _oracle_nodes(radial, angular, n_u)
+    nodes = _oracle_nodes(radial, angular, n_u)
+    columns = [x.reshape(-1, 1) for x in (A, B, C)]
+    out = np.empty(A.size)
+    step = max(1, ORACLE_CHUNK // (radial + 1))
+    for lo in range(0, A.size, step):
+        out[lo:lo + step] = _chunk_maxima(*(x[lo:lo + step] for x in columns), *nodes)
+    return float(out[0]) if A.ndim == 0 else out.reshape(A.shape)
+
+
+def _chunk_maxima(a: np.ndarray, b: np.ndarray, c: np.ndarray, r: np.ndarray,
+                  r2: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Grid maxima of the triples held in the columns a, b, c, one per row.
+
+    A function of its own, so that one chunk's temporaries are freed before
+    the next chunk's are allocated.
+    """
+    u, lowest = pad[2:-2], pad[0]
     # |A + Bz + Cz^2|^2 = A^2 + B^2 r^2 + C^2 r^4
     #                     + 2(AB r + BC r^3) u + 2AC r^2 (2u^2 - 1)
-    const = A * A + B * B * r2 + C * C * r2 * r2 - 2.0 * A * C * r2
-    lin = 2.0 * (A * B * r + B * C * r * r2)
-    quad = 4.0 * A * C * r2
+    const = a * a + b * b * r2 + c * c * r2 * r2 - 2.0 * a * c * r2
+    lin = 2.0 * (a * b * r + b * c * r * r2)
+    quad = 4.0 * a * c * r2
     # A row that is not concave peaks at an end node.  Its vertex is put past
-    # the upper end, so its window holds that end; every row adds the lower end.
-    vertex = np.divide(-lin, 2.0 * quad, out=np.full_like(lin, np.inf), where=quad < 0.0)
-    near = np.clip(np.searchsorted(u, vertex)[:, None] + _VERTEX_OFFSETS, 0, len(u) - 1)
-    uc = np.column_stack([u[near], np.full(len(r), u[0])])
-    sq = const[:, None] + lin[:, None] * uc + quad[:, None] * (uc * uc)
-    row_max = np.sqrt(np.maximum(sq.max(axis=1), 0.0))
-    return float(np.max(row_max + 1.0 - r2))
+    # the upper end, so its window holds that end; every row adds the lower
+    # end.  The window is two nodes on each side of the vertex's insertion
+    # point i, as for odd angular counts theta_k and 2*pi - theta_k give
+    # near-equal cosines: pad[i + k], k = 0..3, is u[clip(i - 2 + k, 0, len(u) - 1)].
+    at = np.searchsorted(u, np.divide(-lin, 2.0 * quad, out=np.full_like(lin, np.inf),
+                                      where=quad < 0.0))
+    sq = const + lin * lowest + quad * (lowest * lowest)
+    for k in range(4):
+        uc = pad[at + k]
+        np.maximum(sq, const + lin * uc + quad * (uc * uc), out=sq)
+    row_max = np.sqrt(np.maximum(sq, 0.0))
+    return np.max(row_max + 1.0 - r2, axis=1)
 
 
 def grid_allowance(B: float, C: float, radial: int = CERT_RADIAL,

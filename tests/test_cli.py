@@ -93,6 +93,27 @@ class TestSweep:
         argv = ["sweep", "--family", "robertson", "--values", "0.5", *extra]
         assert exit_code(capsys, argv) == 2
 
+    @pytest.mark.parametrize("values", [",", "", " , ", "0.5,abc", "abc"])
+    def test_malformed_values_exit_2(self, capsys, no_search, values):
+        # A usage error naming --values, not an internal message such as
+        # max() of an empty sequence or Python's float() error.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "ozaki", "--values", values])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --values:" in captured.err
+        assert "max()" not in captured.err and "could not convert" not in captured.err
+
+    def test_values_tolerate_spaces_and_empty_items(self, capsys):
+        code, payload = run_json(capsys, [
+            "sweep", "--family", "robertson", "--values", " 0.5 ,,1e0,",
+            "--coarse", "64", "--refine-rounds", "2",
+        ])
+        assert code == 0
+        assert payload["config"]["values"] == [0.5, 1.0]
+        assert [row["lambda"] for row in payload["results"]] == [0.5, 1.0]
+
     def test_coarse_above_cap_exits_2(self, capsys):
         argv = ["sweep", "--family", "robertson", "--values", "0.5", "--coarse", "100000"]
         assert exit_code(capsys, argv) == 2

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hankelbound import search
+from hankelbound import cli, search
 from hankelbound.families import Ozaki, Robertson, Spirallike
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "hankelbound").glob("*.py"))
@@ -37,6 +37,23 @@ def test_search_rounds_are_array_passes(monkeypatch):
         calls.clear()
         p1 = search.global_max(spec).argmax.p1
         assert len(calls) == (0.0 < p1 < 1.0), (spec, p1, len(calls))
+
+
+def test_ymax_certify_is_one_oracle_pass(monkeypatch, capsys):
+    # ymax-certify takes the grid maxima of all its triples in one array
+    # y_oracle call; a per-triple loop would call it 1000 times.
+    calls = []
+    oracle = cli.y_oracle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "y_oracle", counted)
+    assert cli.main(["ymax-certify", "--n", "1000"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert [len(a) for a in calls[0]] == [1000, 1000, 1000]
 
 
 FAMILY_CLASSES = {"Spirallike", "Ozaki", "Robertson"}

@@ -9,6 +9,7 @@ import pytest
 from hankelbound.families import Ozaki, Robertson, Spirallike
 from hankelbound.search import envelope, global_max
 from hankelbound.ymax import (
+    ORACLE_CHUNK,
     YCase,
     _oracle_nodes,
     grid_allowance,
@@ -95,24 +96,81 @@ DEGENERATE = [
 ]
 
 
+def _assert_oracle_matches(triples, radial, angular, full_scan=True):
+    """One array y_oracle call on all triples equals the scalar call on each,
+    and _full_scan on each, bit for bit."""
+    A, B, C = np.array(triples, dtype=float).reshape(-1, 3).T
+    triples = list(zip(A.tolist(), B.tolist(), C.tolist()))
+    batch = y_oracle(A, B, C, radial, angular)
+    scalar = np.array([y_oracle(*t, radial, angular) for t in triples])
+    differ = np.flatnonzero(batch.view(np.int64) != scalar.view(np.int64))
+    assert differ.size == 0, [(triples[i], batch[i], scalar[i]) for i in differ[:5]]
+    if full_scan:
+        for t, value in zip(triples, scalar.tolist()):
+            assert value == _full_scan(*t, radial, angular), t
+
+
 class TestFullScan:
     @pytest.mark.parametrize("radial,angular,count", [(64, 256, 300), (128, 257, 300),
                                                       (512, 2048, 40)])
     def test_uniform(self, radial, angular, count):
         rng = np.random.default_rng(radial + angular)
         for scale in (0.25, 5.0):
-            for A, B, C in rng.uniform(-scale, scale, size=(count, 3)):
-                assert y_oracle(A, B, C, radial, angular) == _full_scan(A, B, C, radial, angular)
+            _assert_oracle_matches(rng.uniform(-scale, scale, size=(count, 3)), radial, angular)
 
     @pytest.mark.parametrize("radial,angular", [(64, 256), (128, 257), (512, 2048)])
     def test_envelope(self, radial, angular):
-        for A, B, C in envelope_triples(np.random.default_rng(angular), 15):
-            assert y_oracle(A, B, C, radial, angular) == _full_scan(A, B, C, radial, angular)
+        _assert_oracle_matches(envelope_triples(np.random.default_rng(angular), 15),
+                               radial, angular)
 
     @pytest.mark.parametrize("radial,angular", [(64, 256), (128, 257), (512, 2048)])
     def test_degenerate(self, radial, angular):
-        for triple in DEGENERATE:
-            assert y_oracle(*triple, radial, angular) == _full_scan(*triple, radial, angular), triple
+        _assert_oracle_matches(DEGENERATE, radial, angular)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (512, 2048)])
+    def test_sizes_around_the_chunk(self, radial, angular):
+        # Batches that fill part of one chunk, exactly one, one and a bit,
+        # and many with a partial last one.
+        chunk = ORACLE_CHUNK // (radial + 1)
+        rng = np.random.default_rng(chunk)
+        for size in (1, chunk - 1, chunk, chunk + 1, 1000):
+            _assert_oracle_matches(rng.uniform(-5.0, 5.0, size=(size, 3)), radial, angular,
+                                   full_scan=False)
+
+    def test_shapes(self):
+        assert type(y_oracle(1.0, -0.3, -2.0)) is float
+        assert type(y_oracle(np.float64(1.0), np.array(-0.3), -2.0)) is float
+        one = y_oracle([1.0], [-0.3], [-2.0])
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == y_oracle(1.0, -0.3, -2.0)
+        grid = np.random.default_rng(15).uniform(-5.0, 5.0, size=(3, 4, 5))
+        out = y_oracle(*grid, radial=64, angular=256)
+        assert out.shape == (4, 5)
+        flat = y_oracle(*grid.reshape(3, -1), radial=64, angular=256)
+        assert np.array_equal(out.ravel(), flat)
+        assert y_oracle([], [], []).shape == (0,)
+
+    @pytest.mark.parametrize("shapes", [((3,), (3,), (2,)), ((3,), (), (3,)),
+                                        ((2, 3), (3, 2), (2, 3))])
+    def test_mismatched_shapes(self, shapes):
+        A, B, C = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError):
+            y_oracle(A, B, C)
+
+    def test_memory(self):
+        # Temporaries are chunked: 10^4 triples at the default grid would
+        # need 10^4 x 513 doubles, 41 MB, per temporary in one pass.
+        A, B, C = np.random.default_rng(16).uniform(-5.0, 5.0, size=(3, 10_000))
+        _oracle_nodes.cache_clear()
+        tracemalloc.start()
+        try:
+            out = y_oracle(A, B, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 2 ** 20
 
 
 def _assert_values_match(triples):
