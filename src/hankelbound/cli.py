@@ -29,7 +29,6 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .caratheodory import InvalidParameterError
 from .families import (
     FAMILIES,
     CoeffTriple,
@@ -50,6 +49,9 @@ EXIT_USAGE = 2
 GAP_FLOOR = -1e-9  # search must never beat the proven bound
 #: Largest ymax-certify --n; the triples are drawn at once, 24 bytes each.
 MAX_CERTIFY_N = 10 ** 6
+#: Largest modulus of a gamma literal.  H_{2,1} is of degree 4 in (a2, a3, a4), so
+#: no term on either path exceeds 1e76^4 = 1e304, and their sums stay below 1.8e308.
+MAX_LITERAL = 1e76
 
 
 def _cx(z: complex) -> list[float]:
@@ -255,6 +257,9 @@ def cmd_gamma(args: argparse.Namespace) -> int:
             raise ParameterRangeError(f"malformed complex literal: {exc}") from exc
         if not all(cmath.isfinite(z) for z in (a.a2, a.a3, a.a4)):
             raise ParameterRangeError("a2, a3 and a4 must be finite")
+        # math.hypot: abs() of a finite complex can raise OverflowError.
+        if max(math.hypot(z.real, z.imag) for z in (a.a2, a.a3, a.a4)) > MAX_LITERAL:
+            raise ParameterRangeError(f"a2, a3 and a4 must have modulus <= {MAX_LITERAL:g}")
         source = "literal"
     g = log_coeffs(a)
     via_gamma = h21(a, check=False)
@@ -356,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except PathMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ParameterRangeError, InvalidParameterError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # an unwritable --out is found after the work
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

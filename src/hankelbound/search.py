@@ -12,9 +12,10 @@ nonnegative coefficient, so its optimum is the unimodular value aligning
 phases; for e3 > 0 the maximum over p2 is then scale*e3*Y(e0/e3, e1/e3,
 e2/e3), the Y-lemma of ``ymax``.  What is left is a 1-D search over p1 in
 [0, 1] on a grid refined in shrinking windows.  Each round is one array
-pass of ``ymax.y_values``; the scalar ``y_closed_form`` runs once, at the
-best node, for a maximising p2.  ``_grid_values``, the same value on a 3-D
-grid in (p1, |p2|, arg p2), is the tests' brute-force reference.
+pass of ``ymax.y_values`` and one ``np.where`` that takes |e0| + |e1| + |e2|
+where e3 = 0; the scalar ``y_closed_form`` runs once, at the best node, for
+a maximising p2.  ``_grid_values``, the same value on a 3-D grid in
+(p1, |p2|, arg p2), is the tests' brute-force reference.
 """
 
 from __future__ import annotations
@@ -125,11 +126,11 @@ def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> S
         half = 0.5 / _SHRINK ** t
         p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
         scale, e0, e1, e2, e3 = envelope_arrays(spec, p1)
-        # Where e3 = 0 (p1 = 0 or 1) e2 or e0 alone is non-zero: z = 1.
-        value = scale * (np.abs(e0) + np.abs(e1) + np.abs(e2))
-        live = e3 != 0.0  # e3 >= 0, so e3 > 0
-        d = e3[live]
-        value[live] = scale * d * y_values(e0[live] / d, e1[live] / d, e2[live] / d)
+        # Where e3 = 0 (p1 = 0 or 1) e2 or e0 alone is non-zero: z = 1.  The
+        # lemma's value there divides by zero, and np.where discards it.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(e3 > 0.0, scale * e3 * y_values(e0 / e3, e1 / e3, e2 / e3),
+                             scale * (np.abs(e0) + np.abs(e1) + np.abs(e2)))
         i = int(np.argmax(value))  # the first of equal maxima: ties go to smaller p1
         if value[i] > best:
             best, bp1 = value[i], float(p1[i])

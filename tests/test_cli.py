@@ -241,6 +241,27 @@ class TestGamma:
     def test_non_finite_literal_exits_2(self, capsys, literals, fmt):
         assert exit_code(capsys, ["gamma", *literals, "--format", fmt]) == 2
 
+    @pytest.mark.parametrize("literals", [
+        ["--a2", "1e100"], ["--a2", "1e70", "--a3", "0", "--a4", "1e300"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_overflowing_literal_exits_2(self, capsys, monkeypatch, literals, fmt):
+        # H_{2,1} of these overflows: an OverflowError at a2 = 1e100, and
+        # inf and nan reported as a pass at a4 = 1e300.  Rejected before any
+        # coefficient is computed.
+        def fail(*args, **kwargs):
+            raise AssertionError("H_{2,1} evaluated for an out-of-range literal")
+        monkeypatch.setattr(cli, "log_coeffs", fail)
+        assert exit_code(capsys, ["gamma", *literals, "--format", fmt]) == 2
+
+    @pytest.mark.parametrize("literals", [
+        ["--a2", "1e75+1e75j", "--a3", "1e75-1e75j", "--a4=-1e75+1e75j"],
+        ["--a2", "1e76", "--a3=-1e76j", "--a4=-1e76"],
+    ])
+    def test_literal_within_cap_passes(self, capsys, literals):
+        code, payload = run_json(capsys, ["gamma", *literals])
+        assert code == 0 and payload["summary"]["pass"] is True
+
 
 class TestParserReuse:
     COMMANDS = [
@@ -291,6 +312,16 @@ class TestOutputFormats:
     def test_json_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cli._emit({"value": float("nan")}, argparse.Namespace(format="json", out=None))
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        # A missing directory, or a directory as the target: found after
+        # the work, but a usage error all the same, not a traceback.
+        code = main(["gamma", "--koebe", "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

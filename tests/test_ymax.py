@@ -270,6 +270,18 @@ class TestOracle:
         # The cap still admits a grid twice as fine as the default each way.
         assert y_oracle(1, 1, 1, radial=1024, angular=4096) == pytest.approx(3.0)
 
+    def test_grid_checked_before_any_array(self):
+        # _oracle_nodes checks the grid before it builds one: 100001 x 50001
+        # nodes would be 40 GB per array.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                _oracle_nodes(100_000, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+
     def test_memory(self):
         # A full scan of this grid holds 1025 x 2049 doubles per temporary.
         _oracle_nodes.cache_clear()
