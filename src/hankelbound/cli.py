@@ -40,7 +40,7 @@ from .families import (
 )
 from .hankel import PathMismatchError, h21, h21_monomial, log_coeffs
 from .search import SearchReport, bound_monotonicity, global_max, sweep
-from .ymax import YCase, grid_allowance, y_closed_form, y_oracle
+from .ymax import YCase, _oracle_nodes, grid_allowance, y_closed_form, y_oracle
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -64,12 +64,18 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
     return cls(**{attr: getattr(args, attr) for attr in names.values()})
 
 
+def _finite(text: str, positive: bool = False) -> float:
+    """argparse type of --alpha, --beta, --nu and --lambda: a finite float."""
+    value = float(text)
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        rule = "finite and > 0" if positive else "finite"
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite float > 0."""
-    tol = float(text)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return tol
+    return _finite(text, positive=True)
 
 
 def _count(text: str) -> int:
@@ -174,14 +180,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     refine_rounds=args.refine_rounds, beta=args.beta)
     ok = all(GAP_FLOOR <= rep.gap <= args.tol for rep in reports)
     worst = max(rep.gap for rep in reports)
-    config = {
-        "family": args.family,
-        "values": args.values,
-        "beta": args.beta,
-        "coarse": args.coarse,
-        "refine_rounds": args.refine_rounds,
-        "tol": args.tol,
-    }
+    names = ("family", "values", "beta", "coarse", "refine_rounds", "tol")
+    config = {name: getattr(args, name) for name in names}
     payload = _payload("sweep", config, [_report_row(r) for r in reports], ok, worst)
     payload["summary"]["bound_monotonicity"] = bound_monotonicity(reports)
     _emit(payload, args)
@@ -189,6 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_ymax_certify(args: argparse.Namespace) -> int:
+    _oracle_nodes(args.radial, args.angular)  # check the grid before any draw
     rng = np.random.default_rng(args.seed)
     triples = rng.uniform(-5.0, 5.0, size=(args.n, 3))
     worst = 0.0
@@ -206,13 +207,7 @@ def cmd_ymax_certify(args: argparse.Namespace) -> int:
             worst = disc
             worst_triple = [float(A), float(B), float(C)]
     ok = passed == args.n
-    config = {
-        "n": args.n,
-        "seed": args.seed,
-        "tol": args.tol,
-        "radial": args.radial,
-        "angular": args.angular,
-    }
+    config = {name: getattr(args, name) for name in ("n", "seed", "tol", "radial", "angular")}
     results = [{
         "n": args.n,
         "passed": passed,
@@ -262,7 +257,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
             raise ParameterRangeError(f"a2, a3 and a4 must have modulus <= {MAX_LITERAL:g}")
         source = "literal"
     g = log_coeffs(a)
-    via_gamma = h21(a, check=False)
+    via_gamma = h21(a)
     via_monomial = h21_monomial(a)
     residual = abs(via_gamma - via_monomial)
     row = {
@@ -280,10 +275,10 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument("--family", choices=list(FAMILIES), required=required)
-    parser.add_argument("--alpha", type=float, default=0.0)
-    parser.add_argument("--beta", type=float, default=0.0)
-    parser.add_argument("--nu", type=float, default=1.0)
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    parser.add_argument("--alpha", type=_finite, default=0.0)
+    parser.add_argument("--beta", type=_finite, default=0.0)
+    parser.add_argument("--nu", type=_finite, default=1.0)
+    parser.add_argument("--lambda", dest="lam", type=_finite, default=0.5)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -316,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--values", type=_values, required=True,
                    help="comma-separated parameter values (alpha, nu, or lambda)")
-    p.add_argument("--beta", type=float, default=0.0,
+    p.add_argument("--beta", type=_finite, default=0.0,
                    help="fixed beta for spirallike sweeps")
     p.add_argument("--coarse", type=int, default=128)
     p.add_argument("--refine-rounds", type=int, default=3)

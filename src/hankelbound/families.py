@@ -12,6 +12,9 @@ Coefficients (a2, a3, a4) are available through two independent routes:
 * ``coeffs_closed_form`` -- explicit polynomials in (c1, c2, c3);
 * ``coeffs_ode_oracle``  -- a series-level solve of the defining relation.
 
+The extremal function of each family is one point (p1, p2, p3) of the
+parameterization, so ``extremal_coeffs`` is the closed form at that point.
+
 For the bounded-curvature (Ozaki) family the relation solved directly gives
 a2 = -nu*c1/4; the opposite sign convention amounts to composing with the
 rotation f(z) -> -f(-z), which flips a2 and a4 simultaneously and leaves
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Union
 
-from .caratheodory import CTriple
+from .caratheodory import CTriple, SchurParams, c_from_params
 from .series import PowerSeries, SeriesDomainError, exp_unit
 
 _HALF_PI = math.pi / 2.0
@@ -188,15 +191,12 @@ def s_critical(spec: FamilySpec) -> float:
 
 
 def extremal_coeffs(spec: FamilySpec) -> CoeffTriple:
-    """Coefficients of the function attaining the sharp bound."""
-    if isinstance(spec, Spirallike):
-        # z/(1-z^2)^k = z + k z^3 + O(z^5): the series is odd.
-        return CoeffTriple(0j, spec.k, 0j)
-    m, s = spec.m, s_critical(spec)
-    a2 = m * s / 2.0
-    a3 = m * ((m + 2.0) * s * s - 1.0) / 6.0
-    a4 = m * (m + 2.0) * s * ((m + 4.0) * s * s - 3.0) / 24.0
-    return CoeffTriple(a2, a3, a4)
+    """Coefficients of the function attaining the sharp bound: the closed form
+    at the paper's point (p1, p2) of the parameterization, where p3 is free
+    because |p2| = 1.  Spirallike takes (0, 1), p = (1 + z^2)/(1 - z^2); the
+    curvature kind takes (s_critical, -1), p = (1 - z^2)/(1 - 2sz + z^2)."""
+    p1, p2 = (0.0, 1.0) if isinstance(spec, Spirallike) else (s_critical(spec), -1.0)
+    return coeffs_closed_form(spec, c_from_params(SchurParams(p1, p2, 1.0)))
 
 
 def sharp_bound(spec: FamilySpec) -> float:

@@ -2,7 +2,9 @@
 
 For f(z) = z + a2 z^2 + ... the coefficients gamma_n of log(f(z)/z)/2 give
 H_{2,1} = gamma1*gamma3 - gamma2^2, which also equals
-(a2*a4 - a3^2 + a2^4/12)/4.  Both routes are evaluated and cross-checked.
+(a2*a4 - a3^2 + a2^4/12)/4.  ``h21`` evaluates both routes on every call
+and raises ``PathMismatchError`` when they disagree, so every caller, the
+``gamma`` command included, gets a checked value.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ def h21_monomial(a: CoeffTriple) -> complex:
     return (a.a2 * a.a4 - a.a3 * a.a3 + a.a2 ** 4 / 12.0) / 4.0
 
 
-def h21(a: CoeffTriple, check: bool = True) -> complex:
+def h21(a: CoeffTriple) -> complex:
     """gamma1*gamma3 - gamma2^2, cross-checked against the monomial form."""
     g = log_coeffs(a)
     value = g.g1 * g.g3 - g.g2 * g.g2
-    if check:
-        scale = max(1.0, abs(a.a2), abs(a.a3), abs(a.a4)) ** 4
-        mismatch = abs(value - h21_monomial(a))
-        if not mismatch <= 1e-12 * scale:
-            raise PathMismatchError(f"H_{{2,1}} path mismatch {mismatch!r} for {a!r}")
+    scale = max(1.0, abs(a.a2), abs(a.a3), abs(a.a4)) ** 4
+    mismatch = abs(value - h21_monomial(a))
+    if not mismatch <= 1e-12 * scale:
+        raise PathMismatchError(f"H_{{2,1}} path mismatch {mismatch!r} for {a!r}")
     return value
 
 

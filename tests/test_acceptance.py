@@ -174,8 +174,8 @@ def test_criterion_10_rotation_equivariance():
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
         a = CoeffTriple(*(complex(v) for v in r * phase))
         theta = rng.uniform(0, 2 * np.pi)
-        lhs = h21(rotate(a, theta), check=False)
-        rhs = cmath.exp(4j * theta) * h21(a, check=False)
+        lhs = h21(rotate(a, theta))
+        rhs = cmath.exp(4j * theta) * h21(a)
         worst = max(worst, abs(lhs - rhs))
     report("criterion 10 (rotation equivariance)", worst <= 1e-12,
            f"worst residual={worst:.3e} over 1000 draws")

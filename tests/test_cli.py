@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 
 import pytest
 
@@ -129,6 +130,25 @@ def test_refine_rounds_above_cap_exits_2(capsys, argv):
     assert "refine_rounds" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "ozaki", "--values", "0.5", "--beta", "nan"],
+    ["verify", "--family", "ozaki", "--nu", "0.5", "--alpha", "nan"],
+    ["verify", "--family", "robertson", "--lambda=-inf"],
+    ["extremal", "--family", "spirallike", "--beta", "inf"],
+    ["gamma", "--koebe", "--nu", "nan"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_non_finite_family_flag_exits_2(capsys, no_search, argv, fmt):
+    # Rejected by argparse, even where the family ignores the flag: an Ozaki
+    # sweep with --beta nan used to search, then pass in csv and table.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 class TestYmaxCertify:
     def test_small_run_passes(self, capsys):
         code, payload = run_json(capsys, ["ymax-certify", "--n", "25", "--seed", "3"])
@@ -173,6 +193,17 @@ class TestYmaxCertify:
         # Rejected before the oracle grid is built: about 40 GB per triple.
         argv = ["ymax-certify", "--n", "1", "--radial", "100000", "--angular", "100000"]
         assert exit_code(capsys, argv) == 2
+
+    def test_grid_checked_before_any_draw(self, capsys):
+        # 10^6 triples take 24 MB; a grid below the minimum is rejected first.
+        tracemalloc.start()
+        try:
+            code = exit_code(capsys, ["ymax-certify", "--n", "1000000", "--radial", "32"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2 ** 20
 
 
 class TestExtremal:
@@ -229,6 +260,24 @@ class TestGamma:
         code, payload = run_json(capsys, ["gamma", "--a2", "0", "--a3", "1", "--a4", "0"])
         assert code == 0
         assert payload["results"][0]["h21_gamma_path"] == pytest.approx([-0.25, 0.0])
+
+    @pytest.mark.parametrize("argv", [["--koebe"], ["--a2", "1", "--a3", "0.5", "--a4", "0.25"]])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_path_mismatch_exits_1(self, capsys, monkeypatch, argv, fmt):
+        # A broken gamma path must fail h21's cross-check, as in extremal,
+        # and print no report.
+        gammas = hankel.log_coeffs
+
+        def broken(a):
+            g = gammas(a)
+            return hankel.GammaTriple(g.g1, g.g2, g.g3 + 1e-7)
+
+        monkeypatch.setattr(hankel, "log_coeffs", broken)
+        code = main(["gamma", *argv, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: H_{2,1} path mismatch")
 
     def test_malformed_complex_exits_2(self, capsys):
         assert main(["gamma", "--a2", "banana"]) == 2

@@ -77,15 +77,15 @@ class TestInvariants:
         for _ in range(1000):
             a = random_coeffs(rng)
             theta = rng.uniform(0, 2 * np.pi)
-            lhs = h21(rotate(a, theta), check=False)
-            rhs = cmath.exp(4j * theta) * h21(a, check=False)
+            lhs = h21(rotate(a, theta))
+            rhs = cmath.exp(4j * theta) * h21(a)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_path_agreement(self):
         rng = np.random.default_rng(31)
         for _ in range(10_000):
             a = random_coeffs(rng)
-            assert abs(h21(a, check=False) - h21_monomial(a)) <= 1e-13
+            assert abs(h21(a) - h21_monomial(a)) <= 1e-13
 
     def test_gamma_matches_series_logarithm(self):
         rng = np.random.default_rng(32)

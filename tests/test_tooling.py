@@ -73,3 +73,14 @@ def test_family_kinds_known_to_families_alone(path):
     named |= {alias.name for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not (named & (FAMILY_CLASSES | {"FAMILIES"})) - allowed, path.name
+
+
+def test_cli_float_options_are_checked():
+    # float() accepts nan and inf, so a bare type=float option lets them past
+    # argparse; every float option goes through a type that rejects them.
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bare = [node.value.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "type"
+            and isinstance(node.value, ast.Name) and node.value.id == "float"]
+    assert not bare, f"cli.py: type=float on line(s) {bare}"
