@@ -20,7 +20,6 @@ from .families import (
     coeffs_closed_form,
     coeffs_ode_oracle,
     extremal_coeffs,
-    make_spec,
     s_critical,
     sharp_bound,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "h21",
     "h21_monomial",
     "log_coeffs",
-    "make_spec",
     "rep_degree1",
     "rep_degree2",
     "rotate",

@@ -3,13 +3,14 @@
 Subcommands:
   verify        maximise |H_{2,1}| for one family (Y-lemma, then a search
                 in p1) and check it against the closed-form sharp bound
-  sweep         run verify over a list of parameter values
+  sweep         run verify over --values of the family's first parameter
   ymax-certify  seeded random certification of the piecewise disk maximum
   extremal      extremal-function coefficients and equality residual
   gamma         logarithmic coefficients and H_{2,1} by both routes
 
 Exit status: 0 pass, 1 verification failure or failed internal cross-check,
-2 usage or range error.
+2 usage or range error.  The --tol of verify, sweep and extremal is relative
+to the bound, and a bound below the smallest normal float fails.
 Machine output: complex numbers are serialized as [re, im]; JSON output is
 byte-stable for identical configurations (seeds included in the report).
 """
@@ -46,7 +47,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-GAP_FLOOR = -1e-9  # search must never beat the proven bound
+GAP_FLOOR = -1e-9  # search must never beat the proven bound (relative to it)
 #: Largest ymax-certify --n; the triples are drawn at once, 24 bytes each.
 MAX_CERTIFY_N = 10 ** 6
 #: Largest modulus of a gamma literal.  H_{2,1} is of degree 4 in (a2, a3, a4), so
@@ -66,7 +67,10 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
 
 def _finite(text: str, positive: bool = False) -> float:
     """argparse type of --alpha, --beta, --nu and --lambda: a finite float."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and (value > 0.0 or not positive)):
         rule = "finite and > 0" if positive else "finite"
         raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
@@ -80,9 +84,13 @@ def _tolerance(text: str) -> float:
 
 def _count(text: str) -> int:
     """argparse type of --n: an integer in [1, MAX_CERTIFY_N]."""
-    if not 1 <= int(text) <= MAX_CERTIFY_N:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= n <= MAX_CERTIFY_N:
         raise argparse.ArgumentTypeError(f"must be in [1, {MAX_CERTIFY_N}], got {text!r}")
-    return int(text)
+    return n
 
 
 def _values(text: str) -> list[float]:
@@ -165,10 +173,16 @@ def _payload(command: str, config: dict[str, Any], results: list[dict[str, Any]]
     }
 
 
+def _certified(rep: SearchReport, tol: float) -> bool:
+    """The search neither beats the bound nor falls short of it by more than
+    tol, both relative to the bound, which must be a normal float."""
+    return rep.bound >= sys.float_info.min and GAP_FLOOR * rep.bound <= rep.gap <= tol * rep.bound
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     rep = global_max(spec, coarse=args.coarse, refine_rounds=args.refine_rounds)
-    ok = GAP_FLOOR <= rep.gap <= args.tol
+    ok = _certified(rep, args.tol)
     config = family_fields(spec)
     config.update(coarse=args.coarse, refine_rounds=args.refine_rounds, tol=args.tol)
     _emit(_payload("verify", config, [_report_row(rep)], ok, rep.gap), args)
@@ -176,9 +190,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    reports = sweep(args.family, args.values, coarse=args.coarse,
-                    refine_rounds=args.refine_rounds, beta=args.beta)
-    ok = all(GAP_FLOOR <= rep.gap <= args.tol for rep in reports)
+    # --values holds the first parameter; a bad one exits 2 before any search.
+    swept = next(iter(FAMILIES[args.family][1].values()))
+    specs = [_family_from_args(argparse.Namespace(**{**vars(args), swept: v}))
+             for v in args.values]
+    reports = sweep(specs, coarse=args.coarse, refine_rounds=args.refine_rounds)
+    ok = all(_certified(rep, args.tol) for rep in reports)
     worst = max(rep.gap for rep in reports)
     names = ("family", "values", "beta", "coarse", "refine_rounds", "tol")
     config = {name: getattr(args, name) for name in names}
@@ -225,7 +242,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     bound = sharp_bound(spec)
     value = abs(h21(a))
     residual = abs(value - bound)
-    ok = residual <= args.tol
+    ok = bound >= sys.float_info.min and residual <= args.tol * bound
     config = family_fields(spec)
     config["tol"] = args.tol
     row = family_fields(spec)

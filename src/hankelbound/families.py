@@ -5,7 +5,8 @@ zf'/f = 1 + k(p - 1) with the complex factor k = (1 - alpha) cos(beta)
 e^{i*beta}.  The curvature classes satisfy zf''/f' = (m/2)(p - 1) with a
 real m: m = -nu for Ozaki's class and m = 2*lambda + 1 for the Robertson
 class.  Every curvature formula below is written once, in m, and no other
-module tells the kinds apart: the search envelope is here too.
+module tells the kinds apart: the search envelope is here too.  ``cli``
+builds every member from the tag table ``FAMILIES``.
 
 Coefficients (a2, a3, a4) are available through two independent routes:
 
@@ -92,22 +93,12 @@ class Robertson:
 
 FamilySpec = Union[Spirallike, Ozaki, Robertson]
 
-#: Family tag -> (class, {CLI/JSON parameter name: attribute}); a sweep
-#: varies the first parameter.
+#: Family tag -> (class, {CLI/JSON parameter name: attribute}).
 FAMILIES = {
     "spirallike": (Spirallike, {"alpha": "alpha", "beta": "beta"}),
     "ozaki": (Ozaki, {"nu": "nu"}),
     "robertson": (Robertson, {"lambda": "lam"}),
 }
-
-
-def make_spec(family: str, value: float, beta: float = 0.0) -> FamilySpec:
-    """Build a FamilySpec from a family tag and its swept parameter."""
-    if family.lower() not in FAMILIES:
-        raise ParameterRangeError(f"unknown family tag {family!r}")
-    cls, names = FAMILIES[family.lower()]
-    swept, *fixed = names.values()  # the one fixed parameter is spirallike's beta
-    return cls(**{swept: value}, **{attr: beta for attr in fixed})
 
 
 def family_fields(spec: FamilySpec) -> dict[str, Any]:

@@ -14,8 +14,9 @@ e2/e3), the Y-lemma of ``ymax``.  What is left is a 1-D search over p1 in
 [0, 1] on a grid refined in shrinking windows.  Each round is one array
 pass of ``ymax.y_values`` and one ``np.where`` that takes |e0| + |e1| + |e2|
 where e3 = 0; the scalar ``y_closed_form`` runs once, at the best node, for
-a maximising p2.  ``_grid_values``, the same value on a 3-D grid in
-(p1, |p2|, arg p2), is the tests' brute-force reference.
+a maximising p2.  ``sweep`` runs ``global_max`` over a list of family members.
+``_grid_values``, the same value on a 3-D grid in (p1, |p2|, arg p2), is the
+tests' brute-force reference.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import SchurParams
-from .families import FamilySpec, ParameterRangeError, envelope_arrays, make_spec, sharp_bound
+from .families import FamilySpec, ParameterRangeError, envelope_arrays, sharp_bound
 from .ymax import y_closed_form, y_values
 
 _SHRINK = 8.0  # window shrink factor per refinement round
@@ -150,10 +151,8 @@ def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> S
     )
 
 
-def sweep(family: str, values, coarse: int = 128, refine_rounds: int = 3,
-          beta: float = 0.0) -> list[SearchReport]:
-    """One SearchReport per parameter value; any bad value aborts up front."""
-    specs = [make_spec(family, v, beta=beta) for v in values]
+def sweep(specs, coarse: int = 128, refine_rounds: int = 3) -> list[SearchReport]:
+    """One SearchReport per family member, in order."""
     return [global_max(s, coarse=coarse, refine_rounds=refine_rounds) for s in specs]
 
 

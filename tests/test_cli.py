@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import tracemalloc
 
@@ -119,6 +120,31 @@ class TestSweep:
         argv = ["sweep", "--family", "robertson", "--values", "0.5", "--coarse", "100000"]
         assert exit_code(capsys, argv) == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_out_of_range_aborts_before_search(self, capsys, monkeypatch, fmt):
+        # Every member is built before the first search, so the second value
+        # is rejected with no search run for the first.
+        calls = []
+        monkeypatch.setattr(search, "global_max", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "global_max", lambda *a, **k: calls.append(a))
+        code = main(["sweep", "--family", "ozaki", "--values", "0.5,2", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert calls == []
+        assert captured.out == "" and "nu" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--family", "elliptic"],
+                                  ["sweep", "--family", "Ozaki", "--values", "0.5"]],
+                         ids=["verify-elliptic", "sweep-Ozaki"])
+def test_unknown_family_tag_exits_2(capsys, no_search, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+
 
 @pytest.mark.parametrize("argv", [["verify", "--family", "ozaki"],
                                   ["sweep", "--family", "ozaki", "--values", "0.5,1"]])
@@ -147,6 +173,54 @@ def test_non_finite_family_flag_exits_2(capsys, no_search, argv, fmt):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+class TestRelativeVerdict:
+    """--tol of verify, sweep and extremal is relative to the bound, and a
+    bound below the smallest normal float never passes."""
+
+    @pytest.fixture
+    def found_nothing(self, monkeypatch):
+        """A search that reports a maximum of 0."""
+        search_max = search.global_max
+
+        def nothing(spec, **kwargs):
+            rep = search_max(spec, **kwargs)
+            return dataclasses.replace(rep, max_abs_h21=0.0, gap=rep.bound)
+        monkeypatch.setattr(cli, "global_max", nothing)
+        monkeypatch.setattr(search, "global_max", nothing)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "ozaki", "--nu", "0.2"],  # bound 2.85e-4
+        ["verify", "--family", "spirallike", "--alpha", "0.96"],  # bound 4.0e-4
+        ["sweep", "--family", "ozaki", "--values", "0.2"],
+    ])
+    def test_search_finding_nothing_fails(self, capsys, found_nothing, argv, fmt):
+        # Each bound lies below the default --tol 5e-4, so an absolute
+        # tolerance passed a search that found nothing.
+        assert exit_code(capsys, [*argv, "--format", fmt]) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_extremal_of_zero_fails(self, capsys, monkeypatch, fmt):
+        # The bound 7.2e-11 lies below the default --tol 1e-10.
+        monkeypatch.setattr(cli, "h21", lambda a: 0.0)
+        argv = ["extremal", "--family", "ozaki", "--nu", "1e-4", "--format", fmt]
+        assert exit_code(capsys, argv) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("command", ["verify", "extremal"])
+    @pytest.mark.parametrize("nu", ["1e-160", "1e-200"])
+    def test_underflowed_bound_fails(self, capsys, command, nu, fmt):
+        # The bound is subnormal (7e-323) at 1e-160 and 0.0 at 1e-200.
+        argv = [command, "--family", "ozaki", "--nu", nu, "--format", fmt]
+        assert exit_code(capsys, argv) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "extremal"])
+    def test_tiny_normal_bound_passes(self, capsys, command):
+        code, payload = run_json(capsys, [command, "--family", "ozaki", "--nu", "1e-100"])
+        assert code == 0
+        assert payload["results"][0]["bound"] == pytest.approx(7.161458333333332e-203)
 
 
 class TestYmaxCertify:
@@ -310,6 +384,26 @@ class TestGamma:
     def test_literal_within_cap_passes(self, capsys, literals):
         code, payload = run_json(capsys, ["gamma", *literals])
         assert code == 0 and payload["summary"]["pass"] is True
+
+
+def _checked_options():
+    """"<subcommand> <option>" for every option whose type is one of cli's own."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [f"{name} {action.option_strings[0]}" for name, parser in sub.choices.items()
+            for action in parser._actions
+            if getattr(action.type, "__module__", None) == cli.__name__]
+
+
+@pytest.mark.parametrize("option", _checked_options())
+def test_malformed_number_names_the_input(capsys, option):
+    # The message names the input, not the argparse type function.
+    with pytest.raises(SystemExit) as exc:
+        main([*option.split(), "abc"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "'abc'" in captured.err
+    assert "invalid _" not in captured.err
 
 
 class TestParserReuse:

@@ -12,7 +12,6 @@ from hankelbound.families import (
     Spirallike,
     coeffs_closed_form,
     envelope_arrays,
-    make_spec,
     s_critical,
     sharp_bound,
 )
@@ -251,21 +250,14 @@ class TestGlobalMax:
 
 class TestSweep:
     def test_spirallike_alpha_sweep(self):
-        reports = sweep("spirallike", [0.0, 0.25, 0.5], coarse=64, refine_rounds=2)
+        specs = [Spirallike(alpha, 0.0) for alpha in (0.0, 0.25, 0.5)]
+        reports = sweep(specs, coarse=64, refine_rounds=2)
         bounds = [rep.bound for rep in reports]
         assert bounds == pytest.approx([0.25, 0.140625, 0.0625])
         assert bound_monotonicity(reports) == "non-increasing"
 
     def test_robertson_sweep(self):
-        reports = sweep("robertson", [0.5, 1.0], coarse=64, refine_rounds=2)
+        reports = sweep([Robertson(0.5), Robertson(1.0)], coarse=64, refine_rounds=2)
         assert reports[0].bound == pytest.approx(1.0 / 33.0)
         assert reports[1].bound == pytest.approx(0.070811, abs=1e-6)
         assert bound_monotonicity(reports) == "non-decreasing"
-
-    def test_out_of_range_aborts_before_search(self):
-        with pytest.raises(ParameterRangeError):
-            sweep("ozaki", [0.5, 2.0], coarse=64, refine_rounds=2)
-
-    def test_unknown_family_tag(self):
-        with pytest.raises(ParameterRangeError):
-            make_spec("elliptic", 0.5)
