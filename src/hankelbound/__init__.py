@@ -12,6 +12,7 @@ from .caratheodory import (
 )
 from .families import (
     CoeffTriple,
+    Envelope,
     FamilySpec,
     Ozaki,
     ParameterRangeError,
@@ -24,14 +25,7 @@ from .families import (
     sharp_bound,
 )
 from .hankel import GammaTriple, h21, h21_monomial, log_coeffs, rotate
-from .search import (
-    Envelope,
-    SearchReport,
-    envelope,
-    global_max,
-    sweep,
-    value_p3_optimal,
-)
+from .search import SearchReport, envelope, global_max, p3_step, sweep
 from .series import DEFAULT_ORDER, PowerSeries, SeriesDomainError
 from .ymax import YCase, YResult, y_certify, y_closed_form, y_oracle
 
@@ -63,6 +57,7 @@ __all__ = [
     "h21",
     "h21_monomial",
     "log_coeffs",
+    "p3_step",
     "rep_degree1",
     "rep_degree2",
     "rotate",
@@ -70,7 +65,6 @@ __all__ = [
     "sharp_bound",
     "sweep",
     "validate_caratheodory",
-    "value_p3_optimal",
     "y_certify",
     "y_closed_form",
     "y_oracle",

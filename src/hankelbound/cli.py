@@ -41,7 +41,8 @@ from .families import (
 )
 from .hankel import PathMismatchError, h21, h21_monomial, log_coeffs
 from .search import SearchReport, bound_monotonicity, global_max, sweep
-from .ymax import YCase, _oracle_nodes, grid_allowance, y_closed_form, y_oracle
+from .ymax import (CERT_ANGULAR, CERT_RADIAL, YCase, _oracle_nodes, grid_allowance,
+                   y_closed_form, y_oracle)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -139,7 +140,7 @@ def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif args.format == "csv":
-        rows = [_flatten(r) for r in payload["results"]]
+        rows = [_flatten({**r, "summary": payload["summary"]}) for r in payload["results"]]
         fields: list[str] = []
         for row in rows:
             fields.extend(k for k in row if k not in fields)
@@ -173,19 +174,21 @@ def _payload(command: str, config: dict[str, Any], results: list[dict[str, Any]]
     }
 
 
-def _certified(rep: SearchReport, tol: float) -> bool:
-    """The search neither beats the bound nor falls short of it by more than
-    tol, both relative to the bound, which must be a normal float."""
-    return rep.bound >= sys.float_info.min and GAP_FLOOR * rep.bound <= rep.gap <= tol * rep.bound
+def _judge(gap: float, bound: float, tol: float) -> tuple[bool, float]:
+    """(verdict, gap / bound): the gap relative to the bound lies in
+    [GAP_FLOOR, tol], and the bound is a normal float.  A smaller bound fails,
+    and the quotient divides by the smallest normal instead, so it stays finite."""
+    rel = gap / max(bound, sys.float_info.min)
+    return bound >= sys.float_info.min and GAP_FLOOR <= rel <= tol, rel
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _family_from_args(args)
     rep = global_max(spec, coarse=args.coarse, refine_rounds=args.refine_rounds)
-    ok = _certified(rep, args.tol)
+    ok, worst = _judge(rep.gap, rep.bound, args.tol)
     config = family_fields(spec)
     config.update(coarse=args.coarse, refine_rounds=args.refine_rounds, tol=args.tol)
-    _emit(_payload("verify", config, [_report_row(rep)], ok, rep.gap), args)
+    _emit(_payload("verify", config, [_report_row(rep)], ok, worst), args)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -195,8 +198,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs = [_family_from_args(argparse.Namespace(**{**vars(args), swept: v}))
              for v in args.values]
     reports = sweep(specs, coarse=args.coarse, refine_rounds=args.refine_rounds)
-    ok = all(_certified(rep, args.tol) for rep in reports)
-    worst = max(rep.gap for rep in reports)
+    verdicts, rels = zip(*(_judge(rep.gap, rep.bound, args.tol) for rep in reports))
+    ok, worst = all(verdicts), max(rels)
     names = ("family", "values", "beta", "coarse", "refine_rounds", "tol")
     config = {name: getattr(args, name) for name in names}
     payload = _payload("sweep", config, [_report_row(r) for r in reports], ok, worst)
@@ -242,7 +245,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     bound = sharp_bound(spec)
     value = abs(h21(a))
     residual = abs(value - bound)
-    ok = bound >= sys.float_info.min and residual <= args.tol * bound
+    ok, worst = _judge(residual, bound, args.tol)
     config = family_fields(spec)
     config["tol"] = args.tol
     row = family_fields(spec)
@@ -250,7 +253,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         a2=_cx(a.a2), a3=_cx(a.a3), a4=_cx(a.a4),
         abs_h21=value, bound=bound, residual=residual,
     )
-    _emit(_payload("extremal", config, [row], ok, residual), args)
+    _emit(_payload("extremal", config, [row], ok, worst), args)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -341,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_count, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
-    p.add_argument("--radial", type=int, default=512)
-    p.add_argument("--angular", type=int, default=2048)
+    p.add_argument("--radial", type=int, default=CERT_RADIAL)
+    p.add_argument("--angular", type=int, default=CERT_ANGULAR)
     _add_output_flags(p)
     p.set_defaults(func=cmd_ymax_certify)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 from .caratheodory import CTriple, SchurParams, c_from_params
 from .series import PowerSeries, SeriesDomainError, exp_unit
@@ -154,23 +154,36 @@ def coeffs_ode_oracle(spec: FamilySpec, p: PowerSeries) -> CoeffTriple:
     return CoeffTriple(s[1] / denom[0], s[2] / denom[1], s[3] / denom[2])
 
 
-def envelope_arrays(spec: FamilySpec, p1):
-    """(scale, e0, e1, e2, e3) of the search envelope at p1, a float or an array."""
+class Envelope(NamedTuple):
+    """H_{2,1} = scale*(e0 + e1*p2 + e2*p2^2 + e3*(1 - |p2|^2)*p3) at one p1,
+    up to a rotation: floats at a float p1, e0..e3 arrays at an array p1."""
+
+    scale: Any
+    e0: Any
+    e1: Any
+    e2: Any
+    e3: Any
+
+
+def envelope_arrays(spec: FamilySpec, p1) -> Envelope:
+    """The search envelope at p1, a float or an array, bit for bit the same at
+    a shared node: p1^4 is a product, as numpy's array power and libm's pow
+    can differ in the last bit."""
     q = 1.0 - p1 * p1
     if isinstance(spec, Spirallike):
         scale = (1.0 - spec.alpha) ** 2 * math.cos(spec.beta) ** 2 / 12.0
-        e0 = p1 ** 4
+        e0 = p1 * p1 * (p1 * p1)
         e1 = 2.0 * q * p1 * p1
         e2 = -q * (3.0 + p1 * p1)
         e3 = 4.0 * p1 * q
     else:
         m = spec.m
         scale = m * m / 2304.0
-        e0 = (-m * m + 4.0 * m + 8.0) * p1 ** 4
+        e0 = (-m * m + 4.0 * m + 8.0) * (p1 * p1 * (p1 * p1))
         e1 = 4.0 * (m + 4.0) * q * p1 * p1
         e2 = -8.0 * (2.0 + p1 * p1) * q
         e3 = 24.0 * p1 * q
-    return scale, e0, e1, e2, e3
+    return Envelope(scale, e0, e1, e2, e3)
 
 
 def s_critical(spec: FamilySpec) -> float:

@@ -9,8 +9,8 @@ with real e0..e3 depending on p1 only and e3 >= 0, all taken from
 ``families.envelope_arrays``: nothing here tells the family kinds apart.
 The search takes the paper's two steps.  p3 enters affinely with a
 nonnegative coefficient, so its optimum is the unimodular value aligning
-phases; for e3 > 0 the maximum over p2 is then scale*e3*Y(e0/e3, e1/e3,
-e2/e3), the Y-lemma of ``ymax``.  What is left is a 1-D search over p1 in
+phases (``p3_step``); for e3 > 0 the maximum over p2 is then
+scale*e3*Y(e0/e3, e1/e3, e2/e3), the Y-lemma of ``ymax``.  What is left is a 1-D search over p1 in
 [0, 1] on a grid refined in shrinking windows.  Each round is one array
 pass of ``ymax.y_values`` and one ``np.where`` that takes |e0| + |e1| + |e2|
 where e3 = 0; the scalar ``y_closed_form`` runs once, at the best node, for
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import SchurParams
-from .families import FamilySpec, ParameterRangeError, envelope_arrays, sharp_bound
+from .families import Envelope, FamilySpec, ParameterRangeError, envelope_arrays, sharp_bound
 from .ymax import y_closed_form, y_values
 
 _SHRINK = 8.0  # window shrink factor per refinement round
@@ -41,17 +41,6 @@ MAX_REFINE_ROUNDS = 16
 
 
 @dataclass(frozen=True)
-class Envelope:
-    """Evaluated envelope coefficients at a fixed p1."""
-
-    scale: float
-    e0: float
-    e1: float
-    e2: float
-    e3: float
-
-
-@dataclass(frozen=True)
 class SearchReport:
     family: FamilySpec
     max_abs_h21: float
@@ -62,43 +51,28 @@ class SearchReport:
 
 
 def envelope(spec: FamilySpec, p1: float) -> Envelope:
-    """Envelope coefficients of H_{2,1} at a single p1 in [0, 1]."""
+    """Envelope coefficients of H_{2,1} at a single p1 in [0, 1], as floats."""
     if not 0.0 <= p1 <= 1.0:
         raise ParameterRangeError(f"p1 must lie in [0, 1], got {p1!r}")
-    scale, e0, e1, e2, e3 = envelope_arrays(spec, np.asarray(p1, dtype=float))
-    return Envelope(float(scale), float(e0), float(e1), float(e2), float(e3))
+    return envelope_arrays(spec, float(p1))
 
 
-def envelope_value(env: Envelope, p2: complex, p3: complex) -> complex:
-    """H_{2,1} (up to the dropped rotation phase) at explicit (p2, p3)."""
-    return env.scale * (
-        env.e0 + env.e1 * p2 + env.e2 * p2 * p2
-        + env.e3 * (1.0 - abs(p2) ** 2) * p3
-    )
+def p3_step(env: Envelope, p2: complex) -> tuple[float, complex]:
+    """The exact max of |H_{2,1}| over |p3| <= 1 at fixed (p1, p2), and a
+    unimodular p3 attaining it.
 
-
-def value_p3_optimal(env: Envelope, p2: complex) -> float:
-    """Exact max of |H_{2,1}| over |p3| <= 1 at fixed (p1, p2).
-
-    The p3 coefficient e3*(1-|p2|^2) is nonnegative, so the best p3 is the
-    unimodular value phase-aligned with the remaining terms.
+    The p3 coefficient e3*(1-|p2|^2) is nonnegative, so the best p3 takes the
+    phase of e0 + e1*p2 + e2*p2^2, and is 1 where that is 0 and the phase free.
     """
     if abs(p2) > 1.0 + 1e-12:
         raise ParameterRangeError(f"|p2| must be <= 1, got {abs(p2)!r}")
     inner = env.e0 + env.e1 * p2 + env.e2 * p2 * p2
-    return env.scale * (abs(inner) + env.e3 * (1.0 - abs(p2) ** 2))
-
-
-def optimal_p3(env: Envelope, p2: complex) -> complex:
-    """The unimodular p3 realizing value_p3_optimal (1 when the phase is free)."""
-    inner = env.e0 + env.e1 * p2 + env.e2 * p2 * p2
-    if inner == 0:
-        return 1.0 + 0.0j
-    return inner / abs(inner)
+    value = env.scale * (abs(inner) + env.e3 * (1.0 - abs(p2) ** 2))
+    return value, inner / abs(inner) if inner else 1.0 + 0.0j
 
 
 def _grid_values(spec: FamilySpec, p1: np.ndarray, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """values[i, j, k] = value_p3_optimal at (p1[i], r[j]*e^{i*phi[k]})."""
+    """values[i, j, k] = p3_step's value at (p1[i], r[j]*e^{i*phi[k]})."""
     scale, e0, e1, e2, e3 = envelope_arrays(spec, p1)
     p2 = r[:, None] * np.exp(1j * phi)[None, :]
     p2sq = p2 * p2
@@ -139,12 +113,12 @@ def global_max(spec: FamilySpec, coarse: int = 128, refine_rounds: int = 3) -> S
     env = envelope(spec, bp1)
     z = y_closed_form(env.e0 / env.e3, env.e1 / env.e3, env.e2 / env.e3).z if env.e3 else 1.0
     p2 = complex(z)  # z = 1 where e3 = 0, as in the rounds
-    top = value_p3_optimal(env, p2)
+    top, p3 = p3_step(env, p2)
     bound = sharp_bound(spec)
     return SearchReport(
         family=spec,
         max_abs_h21=top,
-        argmax=SchurParams(bp1, p2, optimal_p3(env, p2)),
+        argmax=SchurParams(bp1, p2, p3),
         bound=bound,
         gap=bound - top,
         grid=f"coarse={coarse}, refine_rounds={refine_rounds}, shrink={int(_SHRINK)}",

@@ -1,11 +1,14 @@
 import argparse
+import csv
 import dataclasses
+import io
 import json
+import math
 import tracemalloc
 
 import pytest
 
-from hankelbound import cli, hankel, search
+from hankelbound import cli, hankel, search, ymax
 from hankelbound.cli import MAX_CERTIFY_N, main
 from hankelbound.search import MAX_REFINE_ROUNDS
 from hankelbound.ymax import YCase
@@ -222,6 +225,38 @@ class TestRelativeVerdict:
         assert code == 0
         assert payload["results"][0]["bound"] == pytest.approx(7.161458333333332e-203)
 
+    def test_worst_residual_is_relative(self, capsys):
+        # A gap of 3.6e-213 on a bound of 7.2e-203: the summary reports their
+        # quotient, the number the verdict compares with --tol.
+        code, payload = run_json(capsys, ["verify", "--family", "ozaki", "--nu", "1e-100"])
+        assert code == 0
+        assert payload["summary"]["worst_residual"] == pytest.approx(5.1e-11, rel=0.01)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "robertson", "--lambda", "0.8"],
+        ["sweep", "--family", "ozaki", "--values", "0.1,0.5,1"],
+        ["extremal", "--family", "ozaki", "--nu", "0.3"],
+    ])
+    def test_worst_residual_on_the_verdicts_scale(self, capsys, argv):
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        gaps = [row.get("gap", row.get("residual")) / row["bound"] for row in payload["results"]]
+        assert payload["summary"]["worst_residual"] == max(gaps)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "ozaki", "--nu", "1e-200"],
+        ["verify", "--family", "ozaki", "--nu", "1e-160"],
+        ["sweep", "--family", "ozaki", "--values", "1e-100,1e-200"],
+        ["extremal", "--family", "ozaki", "--nu", "1e-200"],
+    ])
+    def test_underflowed_bound_reports_json(self, capsys, argv):
+        # Bound 0.0 at 1e-200, subnormal at 1e-160: the relative residual
+        # divides by the smallest normal float and stays finite.
+        code, payload = run_json(capsys, argv)
+        assert code == 1
+        assert payload["summary"]["pass"] is False
+        assert math.isfinite(payload["summary"]["worst_residual"])
+
 
 class TestYmaxCertify:
     def test_small_run_passes(self, capsys):
@@ -262,6 +297,10 @@ class TestYmaxCertify:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert {f"cases_{case.value}" for case in YCase} <= set(header)
+
+    def test_grid_defaults_are_the_certification_grid(self):
+        args = cli.build_parser().parse_args(["ymax-certify"])
+        assert (args.radial, args.angular) == (ymax.CERT_RADIAL, ymax.CERT_ANGULAR)
 
     def test_grid_above_cap_exits_2(self, capsys):
         # Rejected before the oracle grid is built: about 40 GB per triple.
@@ -446,6 +485,25 @@ class TestOutputFormats:
         header, row = out.strip().splitlines()
         assert "a2_re" in header and "residual" in header
         assert len(row.split(",")) == len(header.split(","))
+
+    def test_csv_carries_the_verdict(self, capsys):
+        verdicts = []
+        for nu in ("1e-200", "0.5"):
+            argv = ["verify", "--family", "ozaki", "--nu", nu, "--format", "csv"]
+            code, out = run(capsys, argv)
+            (row,) = csv.DictReader(io.StringIO(out))
+            verdicts.append((code, row["summary_pass"]))
+        assert verdicts == [(1, "False"), (0, "True")]
+
+    def test_csv_summary_on_every_sweep_row(self, capsys):
+        argv = ["sweep", "--family", "robertson", "--values", "0.5,0.75,1", "--format", "csv"]
+        code, out = run(capsys, argv)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 3
+        for row in rows:
+            assert row["summary_pass"] == "True"
+            assert row["summary_bound_monotonicity"] == "non-decreasing"
+            assert float(row["summary_worst_residual"]) <= 5e-4
 
     def test_table(self, capsys):
         code, out = run(capsys, ["gamma", "--koebe", "--format", "table"])

@@ -6,6 +6,7 @@ import pytest
 
 from hankelbound.caratheodory import SchurParams, c_from_params
 from hankelbound.families import (
+    Envelope,
     Ozaki,
     ParameterRangeError,
     Robertson,
@@ -24,11 +25,9 @@ from hankelbound.search import (
     _grid_values,
     bound_monotonicity,
     envelope,
-    envelope_value,
     global_max,
-    optimal_p3,
+    p3_step,
     sweep,
-    value_p3_optimal,
 )
 from hankelbound.ymax import y_closed_form
 
@@ -39,6 +38,12 @@ def random_spec(rng, tag):
     if tag == "ozaki":
         return Ozaki(rng.uniform(0.05, 1.0))
     return Robertson(rng.uniform(0.5, 1.0))
+
+
+def envelope_value(env, p2, p3):
+    """H_{2,1} (up to the dropped rotation phase) at explicit (p2, p3)."""
+    return env.scale * (env.e0 + env.e1 * p2 + env.e2 * p2 * p2
+                        + env.e3 * (1.0 - abs(p2) ** 2) * p3)
 
 
 def _scalar_global_max(spec, coarse=128, refine_rounds=3):
@@ -60,12 +65,12 @@ def _scalar_global_max(spec, coarse=128, refine_rounds=3):
                 best, bp1, bp2 = value, x, z
     env = envelope(spec, bp1)
     p2 = complex(bp2)
-    top = value_p3_optimal(env, p2)
+    top, p3 = p3_step(env, p2)
     bound = sharp_bound(spec)
     return SearchReport(
         family=spec,
         max_abs_h21=top,
-        argmax=SchurParams(bp1, p2, optimal_p3(env, p2)),
+        argmax=SchurParams(bp1, p2, p3),
         bound=bound,
         gap=bound - top,
         grid=f"coarse={coarse}, refine_rounds={refine_rounds}, shrink={int(_SHRINK)}",
@@ -85,23 +90,41 @@ class TestEnvelope:
         assert env.scale == pytest.approx(1.0 / 12.0)
         assert env.e0 == pytest.approx(1.0)
         assert env.e1 == env.e2 == env.e3 == 0.0
-        assert value_p3_optimal(env, 0.0) == pytest.approx(1.0 / 12.0)
+        assert p3_step(env, 0.0)[0] == pytest.approx(1.0 / 12.0)
 
     def test_starlike_endpoint_p1_zero(self):
         env = envelope(Spirallike(0.0, 0.0), 0.0)
         assert env.e0 == env.e1 == env.e3 == 0.0
         assert env.e2 == pytest.approx(-3.0)
-        assert value_p3_optimal(env, 1.0) == pytest.approx(0.25)
+        assert p3_step(env, 1.0)[0] == pytest.approx(0.25)
 
     def test_ozaki_endpoint_p1_zero(self):
         env = envelope(Ozaki(1.0), 0.0)
         assert env.scale == pytest.approx(1.0 / 2304.0)
         assert env.e2 == pytest.approx(-16.0)
-        assert value_p3_optimal(env, 1.0) == pytest.approx(1.0 / 144.0)
+        assert p3_step(env, 1.0)[0] == pytest.approx(1.0 / 144.0)
 
     def test_p1_out_of_range(self):
         with pytest.raises(ParameterRangeError):
             envelope(Ozaki(1.0), 1.5)
+
+    def test_one_type_floats_or_arrays(self):
+        # A float p1 gives floats, an array p1 arrays (scale stays a float),
+        # equal bit for bit at every shared node; search.envelope is the same.
+        rng = np.random.default_rng(39)
+        p1 = np.concatenate([rng.uniform(0, 1, 300), np.linspace(0, 1, 129)])
+        for tag in ("spirallike", "ozaki", "robertson"):
+            spec = random_spec(rng, tag)
+            arrays = envelope_arrays(spec, p1)
+            assert type(arrays) is Envelope and type(arrays.scale) is float
+            assert all(isinstance(e, np.ndarray) and e.shape == p1.shape for e in arrays[1:])
+            for i, x in enumerate(p1.tolist()):
+                floats = envelope_arrays(spec, x)
+                assert type(floats) is Envelope
+                assert all(type(f) is float for f in floats)
+                got = [f.hex() for f in floats]
+                assert got == [float(arrays.scale).hex(), *(float(e[i]).hex() for e in arrays[1:])]
+                assert envelope(spec, x) == floats
 
     def test_e3_nonnegative(self):
         rng = np.random.default_rng(40)
@@ -115,7 +138,7 @@ class TestP3Reduction:
     def test_pure_p3_term(self):
         env = envelope(Ozaki(1.0), 0.5)
         # p2 = 0 leaves e0 plus the full p3 coefficient.
-        assert value_p3_optimal(env, 0.0) == pytest.approx(
+        assert p3_step(env, 0.0)[0] == pytest.approx(
             env.scale * (abs(env.e0) + env.e3)
         )
 
@@ -130,18 +153,27 @@ class TestP3Reduction:
             scanned = env.scale * np.max(
                 np.abs(inner + env.e3 * (1 - abs(p2) ** 2) * phases)
             )
-            assert value_p3_optimal(env, p2) >= scanned - 1e-9
-            assert value_p3_optimal(env, p2) <= scanned + 1e-6
+            assert p3_step(env, p2)[0] >= scanned - 1e-9
+            assert p3_step(env, p2)[0] <= scanned + 1e-6
 
     def test_optimal_p3_is_unimodular_and_attains(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             env = envelope(random_spec(rng, "robertson"), rng.uniform(0, 1))
             p2 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            p3 = optimal_p3(env, p2)
+            value, p3 = p3_step(env, p2)
             assert abs(abs(p3) - 1.0) <= 1e-12
-            attained = abs(envelope_value(env, p2, p3))
-            assert attained == pytest.approx(value_p3_optimal(env, p2))
+            assert abs(envelope_value(env, p2, p3)) == pytest.approx(value)
+
+    def test_free_phase_gives_one(self):
+        # Spirallike at p1 = 0 has e0 = e1 = e3 = 0, so at p2 = 0 every p3
+        # gives 0 and the step takes p3 = 1.
+        assert p3_step(envelope(Spirallike(0.0, 0.0), 0.0), 0.0) == (0.0, 1.0 + 0.0j)
+        assert p3_step(envelope(Spirallike(0.0, 0.0), 0.0), 0j) == (0.0, 1.0 + 0.0j)
+
+    def test_p2_out_of_range(self):
+        with pytest.raises(ParameterRangeError):
+            p3_step(envelope(Ozaki(1.0), 0.5), 1.01j)
 
 
 class TestEnvelopeConsistency:

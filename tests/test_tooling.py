@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import hankelbound
 from hankelbound import cli, search
 from hankelbound.families import Ozaki, Robertson, Spirallike
 
@@ -18,6 +19,14 @@ def test_no_bare_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: bare assert on line(s) {lines}"
+
+
+def test_exports_resolve_once_in_order():
+    # A stale export, such as a name whose definition has gone, fails here.
+    names = hankelbound.__all__
+    assert [name for name in names if not hasattr(hankelbound, name)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
 
 
 def test_search_rounds_are_array_passes(monkeypatch):
