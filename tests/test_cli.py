@@ -38,11 +38,13 @@ def exit_code(capsys, argv):
 
 @pytest.fixture
 def no_search(monkeypatch):
-    """Fail any grid search: invalid input must be rejected before one."""
+    """Fail any grid search: invalid input must be rejected before one.
+    ``global_max`` is the one-member ``sweep``, so patching ``sweep`` covers
+    both commands."""
     def fail(*args, **kwargs):
         raise AssertionError("grid search ran on invalid input")
-    monkeypatch.setattr(cli, "global_max", fail)
-    monkeypatch.setattr(search, "global_max", fail)
+    monkeypatch.setattr(cli, "sweep", fail)
+    monkeypatch.setattr(search, "sweep", fail)
 
 
 class TestVerify:
@@ -87,6 +89,22 @@ class TestSweep:
         assert code == 0
         bounds = [row["bound"] for row in payload["results"]]
         assert bounds == pytest.approx([0.25, 0.140625, 0.0625])
+        assert payload["summary"]["bound_monotonicity"] == "non-increasing"
+
+    def test_tiny_bounds_are_ordered(self, capsys):
+        # Bounds 7.2e-203 < 7.2e-183 < 7.2e-163 lie far below 1e-15; the
+        # slack within which neighbours count as equal is relative to them.
+        code, payload = run_json(capsys, ["sweep", "--family", "ozaki",
+                                          "--values", "1e-100,1e-90,1e-80"])
+        assert code == 0
+        bounds = [row["bound"] for row in payload["results"]]
+        assert 0.0 < bounds[0] < bounds[1] < bounds[2] < 1e-160
+        assert payload["summary"]["bound_monotonicity"] == "non-decreasing"
+
+    @pytest.mark.parametrize("values", ["0.3,0.3,0.3", "1e-100,1e-100"])
+    def test_equal_bounds_are_non_increasing(self, capsys, values):
+        code, payload = run_json(capsys, ["sweep", "--family", "ozaki", "--values", values])
+        assert code == 0
         assert payload["summary"]["bound_monotonicity"] == "non-increasing"
 
     def test_bad_value_exits_2(self, capsys):
@@ -184,14 +202,15 @@ class TestRelativeVerdict:
 
     @pytest.fixture
     def found_nothing(self, monkeypatch):
-        """A search that reports a maximum of 0."""
-        search_max = search.global_max
+        """A search that reports a maximum of 0, patched where both commands
+        search: ``sweep``, of which ``global_max`` is the one-member case."""
+        search_sweep = search.sweep
 
-        def nothing(spec, **kwargs):
-            rep = search_max(spec, **kwargs)
-            return dataclasses.replace(rep, max_abs_h21=0.0, gap=rep.bound)
-        monkeypatch.setattr(cli, "global_max", nothing)
-        monkeypatch.setattr(search, "global_max", nothing)
+        def nothing(specs, **kwargs):
+            return [dataclasses.replace(rep, max_abs_h21=0.0, gap=rep.bound)
+                    for rep in search_sweep(specs, **kwargs)]
+        monkeypatch.setattr(cli, "sweep", nothing)
+        monkeypatch.setattr(search, "sweep", nothing)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     @pytest.mark.parametrize("argv", [

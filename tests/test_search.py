@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hankelbound import search
 from hankelbound.caratheodory import SchurParams, c_from_params
 from hankelbound.families import (
     Envelope,
@@ -46,14 +48,16 @@ def envelope_value(env, p2, p3):
                         + env.e3 * (1.0 - abs(p2) ** 2) * p3)
 
 
-def _scalar_global_max(spec, coarse=128, refine_rounds=3):
+def _scalar_global_max(spec, coarse=128, refine_rounds=3, windows=None):
     """Reference search: the Y-lemma taken node by node with the scalar
     ``y_closed_form``, as ``global_max`` did before its rounds became one
-    array pass each."""
+    array pass each.  Each round's p1 nodes are appended to ``windows``."""
     best, bp1, bp2 = -math.inf, 0.5, 1.0
     for t in range(refine_rounds + 1):
         half = 0.5 / _SHRINK ** t
         p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
+        if windows is not None:
+            windows.append(p1)
         scale, *coeffs = envelope_arrays(spec, p1)
         for x, e0, e1, e2, e3 in zip(p1.tolist(), *(c.tolist() for c in coeffs)):
             if e3 == 0.0:
@@ -281,6 +285,53 @@ class TestGlobalMax:
 
 
 class TestSweep:
+    def test_matches_scalar_search_per_member(self):
+        # One array pass per round over all members picks, for each member,
+        # the node, maximum and argmax of its own node-by-node search: mixed
+        # families, a repeated member and the reversed order included.
+        rng = np.random.default_rng(48)
+        specs = [Ozaki(1.0), Spirallike(0.0, 0.0), Robertson(0.5),
+                 *(random_spec(rng, tag) for tag in ("robertson", "spirallike", "ozaki")
+                   for _ in range(3))]
+        specs += [specs[0], specs[4], specs[1]]
+        for coarse in (64, 128, 256):
+            for rounds in (2, 3, 5, MAX_REFINE_ROUNDS):
+                refs = [_scalar_global_max(s, coarse=coarse, refine_rounds=rounds)
+                        for s in specs]
+                for order in (specs, specs[::-1]):
+                    reps = sweep(order, coarse=coarse, refine_rounds=rounds)
+                    want = refs if order is specs else refs[::-1]
+                    assert [_bits(r) for r in reps] == [_bits(r) for r in want], (coarse, rounds)
+                    assert reps == want
+
+    def test_windows_are_linspace_rows(self, monkeypatch):
+        # Every round's p1 nodes are, bit for bit, the np.linspace window of
+        # the node-by-node search, end nodes included.
+        rng = np.random.default_rng(49)
+        specs = [random_spec(rng, tag) for tag in ("spirallike", "ozaki", "robertson")
+                 for _ in range(4)]
+        rows = []
+        arrays = search.envelope_arrays
+
+        def recorded(spec, p1):
+            if isinstance(p1, np.ndarray):  # not the float p1 of the best node
+                rows.append(p1.copy())
+            return arrays(spec, p1)
+
+        monkeypatch.setattr(search, "envelope_arrays", recorded)
+        for coarse in (97, 200):
+            rows.clear()
+            sweep(specs, coarse=coarse, refine_rounds=5)
+            for j, spec in enumerate(specs):
+                want = []
+                _scalar_global_max(spec, coarse=coarse, refine_rounds=5, windows=want)
+                got = rows[j::len(specs)]
+                assert [w.tobytes() for w in got] == [w.tobytes() for w in want], (coarse, spec)
+
+    def test_empty(self):
+        assert sweep([]) == []
+        assert sweep(iter(())) == []
+
     def test_spirallike_alpha_sweep(self):
         specs = [Spirallike(alpha, 0.0) for alpha in (0.0, 0.25, 0.5)]
         reports = sweep(specs, coarse=64, refine_rounds=2)
@@ -293,3 +344,18 @@ class TestSweep:
         assert reports[0].bound == pytest.approx(1.0 / 33.0)
         assert reports[1].bound == pytest.approx(0.070811, abs=1e-6)
         assert bound_monotonicity(reports) == "non-decreasing"
+
+    def test_monotonicity_slack_is_relative(self):
+        def reports(*bounds):
+            return [SimpleNamespace(bound=b) for b in bounds]
+
+        assert bound_monotonicity(reports(7.2e-203, 7.2e-183, 7.2e-163)) == "non-decreasing"
+        assert bound_monotonicity(reports(7.2e-163, 7.2e-183, 7.2e-203)) == "non-increasing"
+        assert bound_monotonicity(reports(1e-20, 3e-20, 2e-20)) == "non-monotonic"
+        # Equal bounds, and bounds a last bit apart, count as equal.
+        assert bound_monotonicity(reports(0.25, 0.25, 0.25)) == "non-increasing"
+        assert bound_monotonicity(reports(7.2e-203, 7.2e-203)) == "non-increasing"
+        assert bound_monotonicity(reports(0.0, 0.0)) == "non-increasing"
+        one_ulp = math.nextafter(0.25, 1.0)
+        assert bound_monotonicity(reports(0.25, one_ulp, 0.25)) == "non-increasing"
+        assert bound_monotonicity(reports(0.25, one_ulp, 0.5)) == "non-decreasing"

@@ -1,6 +1,9 @@
 """Source-level rules for the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,50 @@ def test_search_rounds_are_array_passes(monkeypatch):
         calls.clear()
         p1 = search.global_max(spec).argmax.p1
         assert len(calls) == (0.0 < p1 < 1.0), (spec, p1, len(calls))
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_sweep_rounds_are_one_pass_over_all_members(monkeypatch, n):
+    # A sweep of n members takes each refinement round in one y_values call
+    # over all n windows, not one per member, and the scalar lemma at most
+    # once per member.
+    sizes, scalar_calls = [], []
+    values, scalar = search.y_values, search.y_closed_form
+
+    def counted_values(A, B, C):
+        sizes.append(A.size)
+        return values(A, B, C)
+
+    def counted_scalar(*args):
+        scalar_calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(search, "y_values", counted_values)
+    monkeypatch.setattr(search, "y_closed_form", counted_scalar)
+    kinds = (lambda x: Spirallike(0.9 * x, x - 0.5), lambda x: Ozaki(0.05 + 0.95 * x),
+             lambda x: Robertson(0.5 + 0.5 * x))
+    specs = [kinds[j % 3](j / 20) for j in range(n)]
+    coarse, rounds = 100, 4
+    search.sweep(specs, coarse=coarse, refine_rounds=rounds)
+    assert sizes == [n * (coarse + 1)] * (rounds + 1)
+    assert len(scalar_calls) <= n
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    # setup_s of the benchmark times fresh processes through this import:
+    # a new dependency would show there.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hankelbound, hankelbound.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n"
+    )
+    src = str(Path(hankelbound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert sorted(out) == ["hankelbound", "numpy"]
 
 
 def test_ymax_certify_is_one_oracle_pass(monkeypatch, capsys):
