@@ -37,9 +37,9 @@ class SchurParams:
     def __post_init__(self):
         if not (-_DISK_SLACK <= self.p1 <= 1.0 + _DISK_SLACK):
             raise InvalidParameterError(f"p1 must lie in [0, 1], got {self.p1!r}")
-        if abs(self.p2) > 1.0 + _DISK_SLACK:
+        if not abs(self.p2) <= 1.0 + _DISK_SLACK:
             raise InvalidParameterError(f"|p2| must be <= 1, got {abs(self.p2)!r}")
-        if abs(self.p3) > 1.0 + _DISK_SLACK:
+        if not abs(self.p3) <= 1.0 + _DISK_SLACK:
             raise InvalidParameterError(f"|p3| must be <= 1, got {abs(self.p3)!r}")
 
 
@@ -53,7 +53,7 @@ class CTriple:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3"):
-            if abs(getattr(self, name)) > 2.0 + _COEFF_SLACK:
+            if not abs(getattr(self, name)) <= 2.0 + _COEFF_SLACK:
                 raise InvalidParameterError(f"|{name}| must be <= 2")
 
 
@@ -74,7 +74,7 @@ def c_from_params(params: SchurParams) -> CTriple:
 
 def rep_degree1(p1: complex, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Series of (1 + p1*z) / (1 - p1*z); the unique member when |p1| = 1."""
-    if abs(p1) > 1.0 + _DISK_SLACK:
+    if not abs(p1) <= 1.0 + _DISK_SLACK:
         raise InvalidParameterError(f"|p1| must be <= 1, got {abs(p1)!r}")
     coeffs = np.empty(order + 1, dtype=complex)
     coeffs[0] = 1.0
@@ -89,7 +89,7 @@ def rep_degree2(p1: complex, p2: complex, order: int = DEFAULT_ORDER) -> PowerSe
     when |p2| = 1; for |p2| < 1 it is accepted here and its positivity should
     be checked at runtime via :func:`validate_caratheodory`.
     """
-    if abs(p1) > 1.0 + _DISK_SLACK or abs(p2) > 1.0 + _DISK_SLACK:
+    if not (abs(p1) <= 1.0 + _DISK_SLACK and abs(p2) <= 1.0 + _DISK_SLACK):
         raise InvalidParameterError("p1 and p2 must lie in the closed unit disk")
     p1c = complex(p1).conjugate()
     num = PowerSeries.from_poly([1.0, p1 + p1c * p2, p2], order)

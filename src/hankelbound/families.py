@@ -1,26 +1,22 @@
 """The three function families and their coefficient machinery.
 
-The families come in two kinds.  Spirallike functions satisfy
-zf'/f = 1 + k(p - 1) with the complex factor k = (1 - alpha) cos(beta)
-e^{i*beta}.  The curvature classes satisfy zf''/f' = (m/2)(p - 1) with a
-real m: m = -nu for Ozaki's class and m = 2*lambda + 1 for the Robertson
-class.  Every curvature formula below is written once, in m, and no other
-module tells the kinds apart: the search envelope is here too.  ``cli``
-builds every member from the tag table ``FAMILIES``.
+Every family member is a row (kind, B1, B2, B3) of a subordination class of
+Ma & Minda, phi(z) = 1 + B1 z + B2 z^2 + B3 z^3 + ...: kind "S*" is S*(phi),
+zf'/f = phi(w), and kind "C" is C(phi), 1 + zf''/f' = phi(w), with the
+Schwarz function w = (p - 1)/(p + 1).  Only B1, B2 and B3 enter H_{2,1}.
+Spirallike is S*(phi) with B = 2k(1, 1, 1), k = (1 - alpha) cos(beta)
+e^{i*beta}; Ozaki and Robertson are C(phi) with B = m(1, 1, 1), m = -nu and
+m = 2*lambda + 1.  Each kind is written once, in (B1, B2, B3), and picked by
+the row's kind; no other module tells the kinds apart: the search envelope
+is here too.  ``cli`` builds every member from the tag table ``FAMILIES``.
 
-Coefficients (a2, a3, a4) are available through two independent routes:
-
-* ``coeffs_closed_form`` -- explicit polynomials in (c1, c2, c3);
-* ``coeffs_ode_oracle``  -- a series-level solve of the defining relation.
-
-The extremal function of each family is one point (p1, p2, p3) of the
-parameterization, so ``extremal_coeffs`` is the closed form at that point.
-
-For the bounded-curvature (Ozaki) family the relation solved directly gives
-a2 = -nu*c1/4; the opposite sign convention amounts to composing with the
-rotation f(z) -> -f(-z), which flips a2 and a4 simultaneously and leaves
-|H_{2,1}| untouched.  This module standardizes on the direct-solve signs so
-that both routes agree componentwise.
+Coefficients (a2, a3, a4) come by two independent routes: the polynomials
+in (c1, c2, c3) of ``coeffs_closed_form``, and the series solve of the
+defining relation in ``coeffs_ode_oracle``.  The extremal function of each
+family is one point (p1, p2, p3) of the parameterization, so
+``extremal_coeffs`` is the closed form at that point.  Ozaki's a2 = -nu*c1/4
+is the sign of the direct solve; the opposite convention, f(z) -> -f(-z),
+flips a2 and a4 and leaves |H_{2,1}| untouched.
 """
 
 from __future__ import annotations
@@ -28,12 +24,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, NamedTuple, Union
 
 from .caratheodory import CTriple, SchurParams, c_from_params
 from .series import PowerSeries, SeriesDomainError, exp_unit
 
 _HALF_PI = math.pi / 2.0
+
+#: Kind -> divisors of (s1, s2, s3), the exp series being f(z)/z or f'(z).
+_DIVISORS = {"S*": (1.0, 1.0, 1.0), "C": (2.0, 3.0, 4.0)}
 
 
 class ParameterRangeError(ValueError):
@@ -53,10 +53,11 @@ class Spirallike:
         if not -_HALF_PI < self.beta < _HALF_PI:
             raise ParameterRangeError(f"beta must lie in (-pi/2, pi/2), got {self.beta!r}")
 
-    @property
-    def k(self) -> complex:
-        """k = (1 - alpha) * cos(beta) * e^{i*beta}; then zf'/f = 1 + k(p - 1)."""
-        return (1.0 - self.alpha) * math.cos(self.beta) * cmath.exp(1j * self.beta)
+    @cached_property
+    def row(self) -> tuple:
+        """("S*", 2k, 2k, 2k) with k = (1 - alpha) cos(beta) e^{i*beta}."""
+        b = 2.0 * (1.0 - self.alpha) * math.cos(self.beta) * cmath.exp(1j * self.beta)
+        return ("S*", b, b, b)
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,10 @@ class Ozaki:
         if not 0.0 < self.nu <= 1.0:
             raise ParameterRangeError(f"nu must lie in (0, 1], got {self.nu!r}")
 
-    @property
-    def m(self) -> float:
-        """Curvature parameter: zf''/f' = (m/2)(p - 1) with m = -nu."""
-        return -self.nu
+    @cached_property
+    def row(self) -> tuple:
+        """("C", m, m, m) with m = -nu."""
+        return ("C", -self.nu, -self.nu, -self.nu)
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,11 @@ class Robertson:
         if not 0.5 <= self.lam <= 1.0:
             raise ParameterRangeError(f"lambda must lie in [1/2, 1], got {self.lam!r}")
 
-    @property
-    def m(self) -> float:
-        """Curvature parameter: zf''/f' = (m/2)(p - 1) with m = 2*lambda + 1."""
-        return 2.0 * self.lam + 1.0
+    @cached_property
+    def row(self) -> tuple:
+        """("C", m, m, m) with m = 2*lambda + 1."""
+        m = 2.0 * self.lam + 1.0
+        return ("C", m, m, m)
 
 
 FamilySpec = Union[Spirallike, Ozaki, Robertson]
@@ -117,39 +119,37 @@ class CoeffTriple:
 
 
 def coeffs_closed_form(spec: FamilySpec, c: CTriple) -> CoeffTriple:
-    """Coefficients as explicit polynomials in (c1, c2, c3)."""
+    """Coefficients as polynomials in (c1, c2, c3), one formula for both kinds.
+    As (p - 1)/2 = w + w^2 + w^3 + ... for w = (p - 1)/(p + 1) = w1 z + w2 z^2
+    + ..., phi(w) - 1 = B1 ((p - 1)/2 + r2 w^2 + r3 w^3) + O(z^4) with
+    r_n = (B_n - B1)/B1: its coefficients are B1 (w1, t2, t3).  s1..s3 of
+    exp(sum B1 t_n z^n/n), over the kind's divisors, are (a2, a3, a4).  Rows
+    with B1 = B2 = B3 have r_n = 0 exactly and round as the formulas in m did."""
+    kind, B1, B2, B3 = spec.row
     c1, c2, c3 = c.c1, c.c2, c.c3
-    if isinstance(spec, Spirallike):
-        k = spec.k
-        a2 = k * c1
-        a3 = (k * k * c1 * c1 + k * c2) / 2.0
-        a4 = (k ** 3 * c1 ** 3 + 3.0 * k * k * c1 * c2 + 2.0 * k * c3) / 6.0
-        return CoeffTriple(a2, a3, a4)
-    m = spec.m
-    a2 = m * c1 / 4.0
-    a3 = m * (2.0 * c2 + m * c1 * c1) / 24.0
-    a4 = m * (8.0 * c3 + 6.0 * m * c1 * c2 + m * m * c1 ** 3) / 192.0
-    return CoeffTriple(a2, a3, a4)
+    r2, r3 = (B2 - B1) / B1, (B3 - B1) / B1
+    w1 = c1 / 2.0
+    w2 = (c2 - c1 * w1) / 2.0
+    t2 = c2 / 2.0 + r2 * w1 * w1
+    t3 = c3 / 2.0 + (2.0 * r2 * w2 + r3 * w1 * w1) * w1
+    n2, n3, n4 = _DIVISORS[kind]
+    return CoeffTriple(B1 * w1 / n2, B1 * (t2 + B1 * w1 * w1) / (2.0 * n3),
+                       B1 * (2.0 * t3 + 3.0 * B1 * w1 * t2 + B1 * B1 * c1 ** 3 / 8.0)
+                       / (6.0 * n4))
 
 
 def coeffs_ode_oracle(spec: FamilySpec, p: PowerSeries) -> CoeffTriple:
-    """Solve the defining relation coefficient-by-coefficient.
-
-    For the spirallike relation zf'/f = 1 + k(p - 1) the log-derivative
-    integrates to log(f/z) = sum_n k*p_n/n z^n.  For the curvature relations
-    zf''/f' = (m/2)(p - 1) the same identity gives log f' = sum_n (m/2)p_n/n
-    z^n, and f' = 1 + 2 a2 z + 3 a3 z^2 + 4 a4 z^3 + ...  Either way the
-    coefficients come out of a single exp of a known series, with no
-    reference to the closed-form polynomials above.
-    """
-    if abs(p[0] - 1.0) > 1e-12:
+    """Solve the defining relation coefficient-by-coefficient, with no
+    reference to the closed form: log(f/z) for S*(phi), or log f' for C(phi),
+    is sum_n (B1/2) p_n/n z^n, and one exp gives f(z)/z or f'(z).  It uses
+    phi(w) - 1 = (B1/2)(p - 1), which holds only for rows with B1 = B2 = B3;
+    composing phi with w = (p - 1)/(p + 1), by ``series.div``, lifts that."""
+    if not abs(p[0] - 1.0) <= 1e-12:
         raise SeriesDomainError("driving function must have constant term 1")
     if p.order < 3:
         raise ValueError("driving series must retain at least order 3")
-    if isinstance(spec, Spirallike):
-        w, denom = spec.k, (1.0, 1.0, 1.0)  # exp gives f(z)/z
-    else:
-        w, denom = spec.m / 2.0, (2.0, 3.0, 4.0)  # exp gives f'(z)
+    kind, B1 = spec.row[:2]
+    w, denom = B1 / 2.0, _DIVISORS[kind]
     s = exp_unit(PowerSeries([0.0] + [w * p[n] / n for n in (1, 2, 3)]))
     return CoeffTriple(s[1] / denom[0], s[2] / denom[1], s[3] / denom[2])
 
@@ -168,44 +168,43 @@ class Envelope(NamedTuple):
 def envelope_arrays(spec: FamilySpec, p1) -> Envelope:
     """The search envelope at p1, a float or an array, bit for bit the same at
     a shared node: p1^4 is a product, as numpy's array power and libm's pow
-    can differ in the last bit."""
+    can differ in the last bit.  S*(phi) needs B2/B1 and B3/B1 real, C(phi)
+    needs B real.  Where B1 = B2 = B3 the ratios are 1 exactly, so those rows
+    round as the formulas in m alone did."""
+    kind, B1, B2, B3 = spec.row
     q = 1.0 - p1 * p1
-    if isinstance(spec, Spirallike):
-        scale = (1.0 - spec.alpha) ** 2 * math.cos(spec.beta) ** 2 / 12.0
-        e0 = p1 * p1 * (p1 * p1)
-        e1 = 2.0 * q * p1 * p1
-        e2 = -q * (3.0 + p1 * p1)
-        e3 = 4.0 * p1 * q
-    else:
-        m = spec.m
-        scale = m * m / 2304.0
-        e0 = (-m * m + 4.0 * m + 8.0) * (p1 * p1 * (p1 * p1))
-        e1 = 4.0 * (m + 4.0) * q * p1 * p1
-        e2 = -8.0 * (2.0 + p1 * p1) * q
-        e3 = 24.0 * p1 * q
-    return Envelope(scale, e0, e1, e2, e3)
+    if kind == "S*":
+        b2, b3 = (B2 / B1).real, (B3 / B1).real
+        return Envelope(abs(B1) ** 2 / 48.0, (4.0 * b3 - 3.0 * b2 * b2) * (p1 * p1 * (p1 * p1)),
+                        2.0 * b2 * q * p1 * p1, -q * (3.0 + p1 * p1), 4.0 * p1 * q)
+    b2 = B2 / B1
+    e0 = (-B1 * B1 + 4.0 * B2 + (24.0 * (B3 / B1) - 16.0 * (b2 * b2))) * (p1 * p1 * (p1 * p1))
+    return Envelope(B1 * B1 / 2304.0, e0, 4.0 * (B1 + 4.0 * b2) * q * p1 * p1,
+                    -8.0 * (2.0 + p1 * p1) * q, 24.0 * p1 * q)
 
 
 def s_critical(spec: FamilySpec) -> float:
-    """Location in (0, 1) of the interior maximum of the reduced objective."""
-    if isinstance(spec, Spirallike):
+    """Location in (0, 1) of the interior maximum of the reduced objective,
+    for C(phi) rows with B1 = B2 = B3."""
+    kind, B1 = spec.row[:2]
+    if kind == "S*":
         raise ParameterRangeError("no interior critical point for the spirallike family")
-    m = spec.m
-    return math.sqrt(-2.0 * (m + 2.0) / (m * m - 8.0 * m - 32.0))
+    return math.sqrt(-2.0 * (B1 + 2.0) / (B1 * B1 - 8.0 * B1 - 32.0))
 
 
 def extremal_coeffs(spec: FamilySpec) -> CoeffTriple:
     """Coefficients of the function attaining the sharp bound: the closed form
     at the paper's point (p1, p2) of the parameterization, where p3 is free
-    because |p2| = 1.  Spirallike takes (0, 1), p = (1 + z^2)/(1 - z^2); the
-    curvature kind takes (s_critical, -1), p = (1 - z^2)/(1 - 2sz + z^2)."""
-    p1, p2 = (0.0, 1.0) if isinstance(spec, Spirallike) else (s_critical(spec), -1.0)
+    because |p2| = 1.  S*(phi) takes (0, 1), p = (1 + z^2)/(1 - z^2); C(phi)
+    takes (s_critical, -1), p = (1 - z^2)/(1 - 2sz + z^2)."""
+    p1, p2 = (0.0, 1.0) if spec.row[0] == "S*" else (s_critical(spec), -1.0)
     return coeffs_closed_form(spec, c_from_params(SchurParams(p1, p2, 1.0)))
 
 
 def sharp_bound(spec: FamilySpec) -> float:
-    """Closed-form sharp bound on |H_{2,1}| for the family."""
-    if isinstance(spec, Spirallike):
-        return (1.0 - spec.alpha) ** 2 * math.cos(spec.beta) ** 2 / 4.0
-    m = spec.m
-    return m * m * (m * m - 12.0 * m - 44.0) / (192.0 * (m * m - 8.0 * m - 32.0))
+    """Closed-form sharp bound on |H_{2,1}|: |B1|^2/16 for S*(phi), and for
+    C(phi) rows with B1 = B2 = B3 a rational function of B1."""
+    kind, B1 = spec.row[:2]
+    if kind == "S*":
+        return abs(B1) ** 2 / 16.0
+    return B1 * B1 * (B1 * B1 - 12.0 * B1 - 44.0) / (192.0 * (B1 * B1 - 8.0 * B1 - 32.0))

@@ -65,7 +65,7 @@ def p3_step(env: Envelope, p2: complex) -> tuple[float, complex]:
     The p3 coefficient e3*(1-|p2|^2) is nonnegative, so the best p3 takes the
     phase of e0 + e1*p2 + e2*p2^2, and is 1 where that is 0 and the phase free.
     """
-    if abs(p2) > 1.0 + 1e-12:
+    if not abs(p2) <= 1.0 + 1e-12:
         raise ParameterRangeError(f"|p2| must be <= 1, got {abs(p2)!r}")
     inner = env.e0 + env.e1 * p2 + env.e2 * p2 * p2
     value = env.scale * (abs(inner) + env.e3 * (1.0 - abs(p2) ** 2))

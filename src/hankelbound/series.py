@@ -69,8 +69,8 @@ class PowerSeries:
 
 def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Quotient q with q*b = a up to the truncation order."""
-    if abs(b[0]) == 0.0:
-        raise SeriesDomainError("division by a series with zero constant term")
+    if not abs(b[0]) > 0.0:
+        raise SeriesDomainError("division by a series with zero or NaN constant term")
     n = min(a.order, b.order)
     q = np.zeros(n + 1, dtype=complex)
     bc = b.coeffs
@@ -85,7 +85,7 @@ def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 def log_unit(a: PowerSeries) -> PowerSeries:
     """log of a series with constant term 1 (principal branch at z = 0)."""
-    if abs(a[0] - 1.0) > _UNIT_ATOL:
+    if not abs(a[0] - 1.0) <= _UNIT_ATOL:
         raise SeriesDomainError("log_unit requires constant term 1")
     n = a.order
     s = np.zeros(n + 1, dtype=complex)
@@ -101,7 +101,7 @@ def log_unit(a: PowerSeries) -> PowerSeries:
 
 def exp_unit(a: PowerSeries) -> PowerSeries:
     """exp of a series with constant term 0."""
-    if abs(a[0]) > _UNIT_ATOL:
+    if not abs(a[0]) <= _UNIT_ATOL:
         raise SeriesDomainError("exp_unit requires constant term 0")
     n = a.order
     b = np.zeros(n + 1, dtype=complex)

@@ -10,7 +10,9 @@ from hankelbound.caratheodory import (
     rep_degree2,
     validate_caratheodory,
 )
-from hankelbound.series import PowerSeries, div
+from hankelbound import search
+from hankelbound.families import Ozaki, coeffs_ode_oracle
+from hankelbound.series import PowerSeries, div, exp_unit, log_unit
 
 
 def random_params(rng) -> SchurParams:
@@ -136,3 +138,27 @@ class TestInvariants:
     def test_ctriple_rejects_oversized_coefficients(self):
         with pytest.raises(InvalidParameterError):
             CTriple(3.0, 0.0, 0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: SchurParams(0.5, NAN, 0.0), id="SchurParams-p2"),
+    pytest.param(lambda: SchurParams(0.5, 0.0, complex(0.0, NAN)), id="SchurParams-p3"),
+    pytest.param(lambda: SchurParams(NAN, 0.0, 0.0), id="SchurParams-p1"),
+    pytest.param(lambda: CTriple(NAN, 0.0, 0.0), id="CTriple-c1"),
+    pytest.param(lambda: CTriple(0.0, 0.0, complex(NAN, 0.0)), id="CTriple-c3"),
+    pytest.param(lambda: rep_degree1(NAN), id="rep_degree1"),
+    pytest.param(lambda: rep_degree2(0.5, NAN), id="rep_degree2"),
+    pytest.param(lambda: search.p3_step(search.envelope(Ozaki(0.5), 0.5), NAN), id="p3_step"),
+    pytest.param(lambda: coeffs_ode_oracle(Ozaki(0.5), PowerSeries([NAN, 0.0, 0.0, 0.0])),
+                 id="coeffs_ode_oracle"),
+    pytest.param(lambda: div(PowerSeries([1.0, 2.0]), PowerSeries([NAN, 1.0])), id="div"),
+    pytest.param(lambda: exp_unit(PowerSeries([NAN, 1.0])), id="exp_unit"),
+    pytest.param(lambda: log_unit(PowerSeries([NAN, 1.0])), id="log_unit"),
+])
+def test_range_checks_reject_nan(call):
+    # abs(nan) > bound is False, so a check written that way lets NaN past.
+    with pytest.raises(ValueError):
+        call()

@@ -143,7 +143,8 @@ class TestExtremal:
         for alpha in np.linspace(0.0, 0.95, 12):
             for beta in np.linspace(-1.5, 1.5, 13):
                 spec = Spirallike(float(alpha), float(beta))
-                fz = exp_unit(PowerSeries(-spec.k * log_base.coeffs))
+                k = spec.row[1] / 2.0  # the row is ("S*", 2k, 2k, 2k)
+                fz = exp_unit(PowerSeries(-k * log_base.coeffs))
                 assert bits(extremal_coeffs(spec)) == bits(CoeffTriple(fz[1], fz[2], fz[3]))
 
     def test_ozaki_extremal_uses_critical_point(self):

@@ -131,6 +131,19 @@ def test_family_kinds_known_to_families_alone(path):
     assert not (named & (FAMILY_CLASSES | {"FAMILIES"})) - allowed, path.name
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_isinstance_on_family_classes(path):
+    # Each formula is picked by the row's kind, so a new row of an existing
+    # kind needs no new branch.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance" and len(node.args) == 2
+             and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+             & FAMILY_CLASSES]
+    assert not lines, f"{path.name}: isinstance on a family class on line(s) {lines}"
+
+
 def test_cli_float_options_are_checked():
     # float() accepts nan and inf, so a bare type=float option lets them past
     # argparse; every float option goes through a type that rejects them.

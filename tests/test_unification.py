@@ -1,12 +1,14 @@
 """Symbolic checks of the two family kinds.
 
-Ozaki's class and the Robertson class share one set of formulas in the
-curvature parameter m (m = -nu and m = 2*lambda + 1).  These tests derive
-the search envelope from the coefficient formulas, and compare every m-form
-formula, through the classes' own ``m``, with the per-family expressions in
-nu and lambda that are kept here as the reference.
+Every family member is a row (kind, B1, B2, B3) of S*(phi) or C(phi).  These
+tests derive each kind's search envelope from the coefficient formula with
+B1, B2 and B3 held symbolic, and compare the formulas at the curvature rows,
+through the classes' own rows (B = m(1, 1, 1) with m = -nu and
+m = 2*lambda + 1), with the per-family expressions in nu and lambda that are
+kept here as the reference.
 """
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -20,8 +22,8 @@ P1 = sp.Symbol("p1", real=True)
 P2, P3 = sp.symbols("p2 p3")
 ABS_P2_SQ = sp.Symbol("abs_p2_sq", nonnegative=True)  # |p2|^2, a symbol of its own
 C1, C2, C3 = sp.symbols("c1 c2 c3")
-K = sp.Symbol("k")
-M = sp.Symbol("m", real=True)
+K = sp.Symbol("k")  # B1 of an S*(phi) row, which may be complex
+B1, B2, B3 = sp.symbols("B1 B2 B3", real=True)
 NU = sp.Symbol("nu", positive=True)
 LAM = sp.Symbol("lam", positive=True)
 S = sp.Symbol("s", positive=True)
@@ -49,10 +51,13 @@ def symbolic(cls, **params):
     return spec
 
 
-class SpirallikeK(Spirallike):
-    """A spirallike spec whose factor k is the free symbol K."""
+class RealSymbol(sp.Symbol):
+    """A real symbol that answers ``.real`` as a float does: b2 = B2/B1 and
+    b3 = B3/B1 of an S*(phi) row are real, and the envelope takes them so."""
 
-    k = K
+    @property
+    def real(self):
+        return self
 
 
 # -- the envelope, derived from coeffs_closed_form o c_from_params ------------
@@ -81,10 +86,27 @@ def envelope_terms(h):
     return e
 
 
+def test_closed_form_is_the_composition():
+    # zf'/f = phi(w) integrates to log(f/z) = int (phi(w) - 1)/z, and
+    # 1 + zf''/f' = phi(w) to log f' by the same integral; expand in sympy.
+    z = sp.Symbol("z")
+    w = sp.series((C1 * z + C2 * z ** 2 + C3 * z ** 3) / (2 + C1 * z + C2 * z ** 2 + C3 * z ** 3),
+                  z, 0, 4).removeO()
+    d = sp.expand(B1 * w + B2 * w ** 2 + B3 * w ** 3)
+    s = sp.series(sp.exp(sum(d.coeff(z, n) * z ** n / n for n in (1, 2, 3))), z, 0, 4).removeO()
+    c = SimpleNamespace(c1=C1, c2=C2, c3=C3)
+    for kind, divisors in (("S*", (1, 1, 1)), ("C", (2, 3, 4))):
+        a = families.coeffs_closed_form(SimpleNamespace(row=(kind, B1, B2, B3)), c)
+        for n, (got, divisor) in enumerate(zip((a.a2, a.a3, a.a4), divisors), start=1):
+            assert same(got, s.coeff(z, n) / divisor), (kind, n)
+
+
 @pytest.mark.usefixtures("symbolic_ctriple")
 def test_curvature_envelope_from_coefficients():
-    spec = SimpleNamespace(m=M)
+    # C(phi) with B1, B2 and B3 free: H_{2,1} = B1^2/2304 * (...).
+    spec = SimpleNamespace(row=("C", B1, B2, B3))
     scale, *e = families.envelope_arrays(spec, P1)
+    assert same(scale, B1 ** 2 / 2304)
     derived = envelope_terms(h21_symbolic(spec) / exact(scale))
     for name, want, got in zip(("e0", "e1", "e2", "e3"), e, derived):
         assert same(want, got), name
@@ -92,20 +114,23 @@ def test_curvature_envelope_from_coefficients():
 
 @pytest.mark.usefixtures("symbolic_ctriple")
 def test_spirallike_envelope_from_coefficients():
-    # H_{2,1} = k^2/12 * (...); the phase of k^2 is the rotation the search
-    # drops, and its modulus is the envelope scale checked below.
-    scale, *e = families.envelope_arrays(Spirallike(0.0, 0.0), P1)
-    assert scale == pytest.approx(1.0 / 12.0)
-    derived = envelope_terms(h21_symbolic(SpirallikeK(0.0, 0.0)) * 12 / K ** 2)
+    # S*(phi) with B1 free and complex, and b2, b3 free and real:
+    # H_{2,1} = B1^2/48 * (...).  The phase of B1^2 is the rotation the
+    # search drops, and its modulus is the envelope scale.
+    b2, b3 = RealSymbol("b2", real=True), RealSymbol("b3", real=True)
+    spec = SimpleNamespace(row=("S*", K, b2 * K, b3 * K))
+    scale, *e = families.envelope_arrays(spec, P1)
+    assert same(scale, sp.Abs(K) ** 2 / 48)
+    derived = envelope_terms(h21_symbolic(spec) * 48 / K ** 2)
     for name, want, got in zip(("e0", "e1", "e2", "e3"), e, derived):
         assert same(want, got), name
+    # Spirallike is the row B = 2k(1, 1, 1): scale |k|^2/12.
     for alpha, beta in ((0.0, 0.0), (0.3, -1.1), (0.9, 0.7)):
-        spec = Spirallike(alpha, beta)
-        scale = families.envelope_arrays(spec, P1)[0]
-        assert scale == pytest.approx(abs(spec.k) ** 2 / 12.0, rel=1e-14)
+        scale = families.envelope_arrays(Spirallike(alpha, beta), P1)[0]
+        assert scale == pytest.approx((1 - alpha) ** 2 * math.cos(beta) ** 2 / 12, rel=1e-14)
 
 
-# -- the m-form formulas against the per-family ones in nu and lambda ---------
+# -- the curvature rows against the per-family formulas in nu and lambda -----
 
 def _robertson_reference():
     m = 2 * LAM + 1
@@ -118,11 +143,6 @@ def _robertson_reference():
                      m * (m + 2) * ((m + 4) * S ** 2 - 3) * S / 24),
         "bound": (2 * LAM + 1) ** 2 * (12 * LAM ** 2 - 60 * LAM - 165)
         / (576 * (4 * LAM ** 2 - 12 * LAM - 39)),
-        "envelope": ((2 * LAM + 1) ** 2 / 2304,
-                     (-4 * LAM ** 2 + 4 * LAM + 11) * P1 ** 4,
-                     4 * (2 * LAM + 5) * (1 - P1 ** 2) * P1 ** 2,
-                     -8 * (P1 ** 2 + 2) * (1 - P1 ** 2),
-                     24 * P1 * (1 - P1 ** 2)),
     }
 
 
@@ -135,11 +155,6 @@ def _ozaki_reference():
         "extremal": (-NU * S / 2, NU * (1 + (NU - 2) * S ** 2) / 6,
                      -NU * (NU - 2) * S * (3 + (NU - 4) * S ** 2) / 24),
         "bound": NU ** 2 * (NU ** 2 + 12 * NU - 44) / (192 * (NU ** 2 + 8 * NU - 32)),
-        "envelope": (NU ** 2 / 2304,
-                     (-NU ** 2 - 4 * NU + 8) * P1 ** 4,
-                     4 * (4 - NU) * (1 - P1 ** 2) * P1 ** 2,
-                     -8 * (2 + P1 ** 2) * (1 - P1 ** 2),
-                     24 * P1 * (1 - P1 ** 2)),
     }
 
 
@@ -176,13 +191,14 @@ def test_sharp_bound(reference):
     assert same(families.sharp_bound(reference["spec"]), reference["bound"])
 
 
-def test_envelope(reference):
-    got = families.envelope_arrays(reference["spec"], P1)
-    for name, g, want in zip(("scale", "e0", "e1", "e2", "e3"), got, reference["envelope"]):
-        assert same(g, want), name
-
-
 def test_curvature_parameter_values():
-    assert Ozaki(0.25).m == -0.25
-    assert Robertson(0.5).m == 2.0
-    assert Robertson(1.0).m == 3.0
+    assert Ozaki(0.25).row == ("C", -0.25, -0.25, -0.25)
+    assert Robertson(0.5).row == ("C", 2.0, 2.0, 2.0)
+    assert Robertson(1.0).row == ("C", 3.0, 3.0, 3.0)
+
+
+def test_rows_are_built_once_per_member():
+    # The closed form and the envelope read the row on every call.
+    assert Spirallike(0.0, 0.0).row == ("S*", 2.0, 2.0, 2.0)
+    for spec in (Spirallike(0.3, -0.4), Ozaki(0.5), Robertson(0.75)):
+        assert spec.row is spec.row
