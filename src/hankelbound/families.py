@@ -7,8 +7,9 @@ Schwarz function w = (p - 1)/(p + 1).  Only B1, B2 and B3 enter H_{2,1}.
 Spirallike is S*(phi) with B = 2k(1, 1, 1), k = (1 - alpha) cos(beta)
 e^{i*beta}; Ozaki and Robertson are C(phi) with B = m(1, 1, 1), m = -nu and
 m = 2*lambda + 1.  Each kind is written once, in (B1, B2, B3), and picked by
-the row's kind; no other module tells the kinds apart: the search envelope
-is here too.  ``cli`` builds every member from the tag table ``FAMILIES``.
+the row's kind; no other module tells the kinds apart.  The search envelope
+is one polynomial in p1 for both kinds, and the kind picks only its p1-free
+factor row.  ``cli`` builds every member from the tag table ``FAMILIES``.
 
 Coefficients (a2, a3, a4) come by two independent routes: the polynomials
 in (c1, c2, c3) of ``coeffs_closed_form``, and the series solve of the
@@ -165,22 +166,32 @@ class Envelope(NamedTuple):
     e3: Any
 
 
-def envelope_arrays(spec: FamilySpec, p1) -> Envelope:
-    """The search envelope at p1, a float or an array, bit for bit the same at
-    a shared node: p1^4 is a product, as numpy's array power and libm's pow
-    can differ in the last bit.  S*(phi) needs B2/B1 and B3/B1 real, C(phi)
-    needs B real.  Where B1 = B2 = B3 the ratios are 1 exactly, so those rows
-    round as the formulas in m alone did."""
+def envelope_factors(spec: FamilySpec) -> tuple:
+    """The row's (scale, k0, k1, k2, c2, k3) of ``envelope_poly``.  S*(phi) needs
+    B2/B1, B3/B1 real, C(phi) B real; B1 = B2 = B3 rows round as in m alone."""
     kind, B1, B2, B3 = spec.row
-    q = 1.0 - p1 * p1
     if kind == "S*":
         b2, b3 = (B2 / B1).real, (B3 / B1).real
-        return Envelope(abs(B1) ** 2 / 48.0, (4.0 * b3 - 3.0 * b2 * b2) * (p1 * p1 * (p1 * p1)),
-                        2.0 * b2 * q * p1 * p1, -q * (3.0 + p1 * p1), 4.0 * p1 * q)
+        return abs(B1) ** 2 / 48.0, 4.0 * b3 - 3.0 * b2 * b2, 2.0 * b2, -1.0, 3.0, 4.0
     b2 = B2 / B1
-    e0 = (-B1 * B1 + 4.0 * B2 + (24.0 * (B3 / B1) - 16.0 * (b2 * b2))) * (p1 * p1 * (p1 * p1))
-    return Envelope(B1 * B1 / 2304.0, e0, 4.0 * (B1 + 4.0 * b2) * q * p1 * p1,
-                    -8.0 * (2.0 + p1 * p1) * q, 24.0 * p1 * q)
+    return (B1 * B1 / 2304.0, -B1 * B1 + 4.0 * B2 + (24.0 * (B3 / B1) - 16.0 * (b2 * b2)),
+            4.0 * (B1 + 4.0 * b2), -8.0, 2.0, 24.0)
+
+
+def envelope_poly(factors, p1) -> Envelope:
+    """Both kinds' envelope, q = 1 - p1^2: e0 = k0 p1^4, e1 = k1 q p1^2, e2 =
+    k2 (c2 + p1^2) q, e3 = k3 p1 q; factors are floats, or columns with a row per
+    member.  p1^4 is a product: numpy's array power and libm's pow can differ."""
+    scale, k0, k1, k2, c2, k3 = factors
+    p1sq = p1 * p1
+    q = 1.0 - p1sq
+    return Envelope(scale, k0 * (p1sq * p1sq), k1 * q * p1 * p1, k2 * (c2 + p1sq) * q,
+                    k3 * p1 * q)
+
+
+def envelope_arrays(spec: FamilySpec, p1) -> Envelope:
+    """``envelope_poly`` at the member's own factors, at a float or array p1."""
+    return envelope_poly(envelope_factors(spec), p1)
 
 
 def s_critical(spec: FamilySpec) -> float:

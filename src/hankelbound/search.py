@@ -5,19 +5,20 @@ invariance) has the form
 
     scale * (e0 + e1*p2 + e2*p2^2 + e3*(1 - |p2|^2)*p3)
 
-with real e0..e3 depending on p1 only and e3 >= 0, all taken from
-``families.envelope_arrays``: nothing here tells the family kinds apart.
-The search takes the paper's two steps.  p3 enters affinely with a
-nonnegative coefficient, so its optimum is the unimodular value aligning
-phases (``p3_step``); for e3 > 0 the maximum over p2 is then
-scale*e3*Y(e0/e3, e1/e3, e2/e3), the Y-lemma of ``ymax``.  What is left is
-a 1-D search over p1 in [0, 1] per family member, on a grid refined in
-shrinking windows.  ``sweep`` takes each round as one array pass over every
-member's nodes: one ``ymax.y_values`` call and one ``np.where`` that takes
-|e0| + |e1| + |e2| where e3 = 0.  The scalar ``y_closed_form`` runs once per
-member, at its best node, for a maximising p2; ``global_max`` is the
-one-member ``sweep``.  ``_grid_values``, the same value on a 3-D grid in
-(p1, |p2|, arg p2), is the tests' brute-force reference.
+with real e0..e3 depending on p1 only and e3 >= 0.  ``families`` writes it
+as one polynomial in p1 for both kinds, and the kind picks only its p1-free
+factor row: nothing here tells the family kinds apart.  The search takes the
+paper's two steps.  p3 enters affinely with a nonnegative coefficient, so
+its optimum is the unimodular value aligning phases (``p3_step``); for
+e3 > 0 the maximum over p2 is then scale*e3*Y(e0/e3, e1/e3, e2/e3), the
+Y-lemma of ``ymax``.  What is left is a 1-D search over p1 in [0, 1] per
+member, on a grid refined in shrinking windows.  ``sweep`` stacks the
+members' factor rows once; each round is then one envelope evaluation and
+one ``ymax.y_values`` call over every member's nodes, compared by the
+unscaled e3*Y (|e0| + |e1| + |e2| where e3 = 0).  The scalar
+``y_closed_form`` gives each member's maximising p2 at its best node;
+``global_max`` is the one-member ``sweep``.  ``_grid_values``, the value on
+a 3-D grid in (p1, |p2|, arg p2), is the tests' brute-force reference.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caratheodory import SchurParams
-from .families import Envelope, FamilySpec, ParameterRangeError, envelope_arrays, sharp_bound
+from .families import (Envelope, FamilySpec, ParameterRangeError, envelope_arrays,
+                       envelope_factors, envelope_poly, sharp_bound)
 from .ymax import y_closed_form, y_values
 
 _SHRINK = 8.0  # window shrink factor per refinement round
@@ -107,6 +109,7 @@ def sweep(specs, coarse: int = 128, refine_rounds: int = 3) -> list[SearchReport
         return []
 
     nodes = np.arange(coarse + 1.0)
+    factors = np.array([envelope_factors(spec) for spec in specs]).T[:, :, None]
     best, bp1 = [-math.inf] * len(specs), np.full(len(specs), 0.5)
     for t in range(refine_rounds + 1):
         # Round 0 spans [0, 1]; each later one a window _SHRINK times narrower.
@@ -115,13 +118,12 @@ def sweep(specs, coarse: int = 128, refine_rounds: int = 3) -> list[SearchReport
         # Row by row np.linspace(lo, hi, coarse + 1), bit for bit, at a third of its cost.
         p1 = nodes * ((hi - lo) / coarse)[:, None] + lo[:, None]
         p1[:, -1] = hi
-        scale, e0, e1, e2, e3 = map(np.array, zip(*map(envelope_arrays, specs, p1)))
-        scale = scale[:, None]
-        # Where e3 = 0 (p1 = 0 or 1) e2 or e0 alone is non-zero: z = 1.  The
-        # lemma's value there divides by zero, and np.where discards it.
+        _, e0, e1, e2, e3 = envelope_poly(factors, p1)
+        # Unscaled, so no scale's rounding picks a node.  Where e3 = 0 (p1 = 0 or
+        # 1) e0 or e2 alone is non-zero: z = 1, and np.where drops the lemma's 0/0.
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(e3 > 0.0, scale * e3 * y_values(e0 / e3, e1 / e3, e2 / e3),
-                             scale * (np.abs(e0) + np.abs(e1) + np.abs(e2)))
+            value = np.where(e3 > 0.0, e3 * y_values(e0 / e3, e1 / e3, e2 / e3),
+                             np.abs(e0) + np.abs(e1) + np.abs(e2))
         # np.argmax takes the first of equal maxima: ties go to smaller p1.
         for r, i in enumerate(np.argmax(value, axis=1).tolist()):
             if value[r, i] > best[r]:

@@ -91,16 +91,16 @@ def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """``y_closed_form(A[i], B[i], C[i]).value`` for every i, bit for bit.
 
     Every branch's value and condition is computed on the whole arrays with
-    the scalar expressions, then ``np.select`` picks by the lemma's
-    precedence: it assigns from the last branch to the first, so that an
-    earlier branch overwrites a later one.  Branches that are not selected
-    may divide by zero or overflow; their inf and nan are discarded, so
-    floating-point errors are ignored here rather than reported.
+    the scalar expressions.  ``out`` starts as R_SQRT's value; the others are
+    copied in from the last branch to the first, so an earlier one overwrites
+    a later one.  Unselected branches may divide by zero or overflow; their
+    inf and nan are discarded, so floating-point errors are ignored here.
     """
     A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
     with np.errstate(all="ignore"):
         aA, aB, aC = np.abs(A), np.abs(B), np.abs(C)
         BB, aAaB, fourA = B * B, aA * aB, 4.0 * aA
+        sAB, one_aA = aA + aB, 1.0 + aA
         om, op = 1.0 - aC, 1.0 + aC
         two_om, four_AC = 2.0 * om, 4.0 * A * C
         parabola = BB / (4.0 * om)
@@ -108,18 +108,15 @@ def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
         cap = 4.0 * (op * op)
         radicand = 1.0 - BB / four_AC
         nonneg = A * C >= 0.0
-        conditions = [
-            nonneg & (aB - two_om >= 0.0),                  # AC_NONNEG_SUM
-            nonneg,                                         # AC_NONNEG_PARABOLA
-            (t <= BB) & (aB < two_om),                      # NEG_FIRST
-            BB < np.where(t < cap, t, cap),                 # NEG_SECOND: min(cap, t)
-            aAaB - aC * (aB + fourA) >= 0.0,                # R_SUM
-            aC * (aB - fourA) - aAaB >= 0.0,                # R_DIFF
-        ]
-        branches = [aA + aB + aC, 1.0 + aA + parabola, 1.0 - aA + parabola,
-                    1.0 + aA + BB / (4.0 * op), aA + aB - aC, -aA + aB + aC]
-        r_sqrt = (aA + aC) * np.sqrt(radicand)
-        return np.select(conditions, branches, r_sqrt)
+        out = np.asarray((aA + aC) * np.sqrt(radicand))  # R_SQRT; an array for 0-d input too
+        np.copyto(out, -aA + aB + aC, where=aC * (aB - fourA) - aAaB >= 0.0)  # R_DIFF
+        np.copyto(out, sAB - aC, where=aAaB - aC * (aB + fourA) >= 0.0)  # R_SUM
+        np.copyto(out, one_aA + BB / (4.0 * op),  # NEG_SECOND: B^2 < min(cap, t)
+                  where=BB < np.where(t < cap, t, cap))
+        np.copyto(out, 1.0 - aA + parabola, where=(t <= BB) & (aB < two_om))  # NEG_FIRST
+        np.copyto(out, one_aA + parabola, where=nonneg)  # AC_NONNEG_PARABOLA
+        np.copyto(out, sAB + aC, where=nonneg & (aB - two_om >= 0.0))  # AC_NONNEG_SUM
+        return out
 
 
 @functools.lru_cache(maxsize=8)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hankelbound import search
+from hankelbound import families, search
 from hankelbound.caratheodory import SchurParams, c_from_params
 from hankelbound.families import (
     Envelope,
@@ -51,20 +51,22 @@ def envelope_value(env, p2, p3):
 def _scalar_global_max(spec, coarse=128, refine_rounds=3, windows=None):
     """Reference search: the Y-lemma taken node by node with the scalar
     ``y_closed_form``, as ``global_max`` did before its rounds became one
-    array pass each.  Each round's p1 nodes are appended to ``windows``."""
+    array pass each.  Nodes compare by the unscaled G, e3*Y or
+    |e0| + |e1| + |e2| where e3 = 0.  Each round's p1 nodes are appended to
+    ``windows``."""
     best, bp1, bp2 = -math.inf, 0.5, 1.0
     for t in range(refine_rounds + 1):
         half = 0.5 / _SHRINK ** t
         p1 = np.linspace(max(0.0, bp1 - half), min(1.0, bp1 + half), coarse + 1)
         if windows is not None:
             windows.append(p1)
-        scale, *coeffs = envelope_arrays(spec, p1)
+        _, *coeffs = envelope_arrays(spec, p1)
         for x, e0, e1, e2, e3 in zip(p1.tolist(), *(c.tolist() for c in coeffs)):
             if e3 == 0.0:
-                value, z = scale * (abs(e0) + abs(e1) + abs(e2)), 1.0
+                value, z = abs(e0) + abs(e1) + abs(e2), 1.0
             else:
                 y = y_closed_form(e0 / e3, e1 / e3, e2 / e3)
-                value, z = scale * e3 * y.value, y.z
+                value, z = e3 * y.value, y.z
             if value > best:
                 best, bp1, bp2 = value, x, z
     env = envelope(spec, bp1)
@@ -306,27 +308,56 @@ class TestSweep:
 
     def test_windows_are_linspace_rows(self, monkeypatch):
         # Every round's p1 nodes are, bit for bit, the np.linspace window of
-        # the node-by-node search, end nodes included.
+        # the node-by-node search, end nodes included: row j of the round's
+        # stacked p1 array is member j's window.
         rng = np.random.default_rng(49)
         specs = [random_spec(rng, tag) for tag in ("spirallike", "ozaki", "robertson")
                  for _ in range(4)]
-        rows = []
-        arrays = search.envelope_arrays
+        stacked = []
+        poly = search.envelope_poly
 
-        def recorded(spec, p1):
-            if isinstance(p1, np.ndarray):  # not the float p1 of the best node
-                rows.append(p1.copy())
-            return arrays(spec, p1)
+        def recorded(factors, p1):
+            stacked.append(p1.copy())
+            return poly(factors, p1)
 
-        monkeypatch.setattr(search, "envelope_arrays", recorded)
+        monkeypatch.setattr(search, "envelope_poly", recorded)
         for coarse in (97, 200):
-            rows.clear()
+            stacked.clear()
             sweep(specs, coarse=coarse, refine_rounds=5)
+            assert [p1.shape for p1 in stacked] == [(len(specs), coarse + 1)] * 6
             for j, spec in enumerate(specs):
                 want = []
                 _scalar_global_max(spec, coarse=coarse, refine_rounds=5, windows=want)
-                got = rows[j::len(specs)]
+                got = [p1[j] for p1 in stacked]
                 assert [w.tobytes() for w in got] == [w.tobytes() for w in want], (coarse, spec)
+
+    def test_stacked_envelope_is_each_members_own(self):
+        # One evaluation over the stacked factor rows of mixed S*/C members
+        # equals each member's own envelope_arrays, bit for bit.
+        rng = np.random.default_rng(50)
+        specs = [random_spec(rng, tag) for tag in ("spirallike", "ozaki", "robertson",
+                                                   "ozaki", "spirallike") for _ in range(3)]
+        specs += [Spirallike(0.0, 0.0), Ozaki(1.0), Robertson(0.5)]
+        p1 = np.sort(rng.uniform(0, 1, (len(specs), 129)), axis=1)
+        p1[:, 0], p1[:, -1] = 0.0, 1.0
+        factors = np.array([families.envelope_factors(s) for s in specs]).T[:, :, None]
+        _, *stacked = families.envelope_poly(factors, p1)
+        for j, spec in enumerate(specs):
+            own = envelope_arrays(spec, p1[j])
+            for name, got, want in zip(("e0", "e1", "e2", "e3"), stacked, own[1:]):
+                assert got[j].tobytes() == want.tobytes(), (spec, name)
+            assert factors[0, j, 0] == own.scale
+
+    def test_argmax_does_not_depend_on_the_scale(self):
+        # Every spirallike member has the same unscaled envelope, so members
+        # with different scales share one argmax; near p1 = 0, where G is
+        # flat to float precision, a scaled comparison let the rounding of
+        # the scale pick the node.
+        specs = [Spirallike(0.0, 0.0), Spirallike(0.9, -1.2), Spirallike(0.3, 0.4)]
+        assert len({envelope(s, 0.0).scale for s in specs}) == 3
+        for coarse, rounds in ((64, 2), (128, 3), (200, 5)):
+            reps = sweep(specs, coarse=coarse, refine_rounds=rounds)
+            assert len({(rep.argmax.p1, rep.argmax.p2) for rep in reps}) == 1, (coarse, rounds)
 
     def test_empty(self):
         assert sweep([]) == []

@@ -53,21 +53,33 @@ def test_search_rounds_are_array_passes(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 5, 20])
 def test_sweep_rounds_are_one_pass_over_all_members(monkeypatch, n):
-    # A sweep of n members takes each refinement round in one y_values call
-    # over all n windows, not one per member, and the scalar lemma at most
-    # once per member.
-    sizes, scalar_calls = [], []
-    values, scalar = search.y_values, search.y_closed_form
+    # A sweep of n members takes each refinement round in one envelope
+    # evaluation and one y_values call over all n windows, not one per
+    # member; a member's own envelope and the scalar lemma run at most once
+    # per member, after the rounds.
+    sizes, envelopes, own, scalar_calls = [], [], [], []
+    values, poly, scalar = search.y_values, search.envelope_poly, search.y_closed_form
+    arrays = search.envelope_arrays
 
     def counted_values(A, B, C):
         sizes.append(A.size)
         return values(A, B, C)
+
+    def counted_poly(factors, p1):
+        envelopes.append(p1.shape)
+        return poly(factors, p1)
+
+    def counted_own(spec, p1):
+        own.append(p1)
+        return arrays(spec, p1)
 
     def counted_scalar(*args):
         scalar_calls.append(args)
         return scalar(*args)
 
     monkeypatch.setattr(search, "y_values", counted_values)
+    monkeypatch.setattr(search, "envelope_poly", counted_poly)
+    monkeypatch.setattr(search, "envelope_arrays", counted_own)
     monkeypatch.setattr(search, "y_closed_form", counted_scalar)
     kinds = (lambda x: Spirallike(0.9 * x, x - 0.5), lambda x: Ozaki(0.05 + 0.95 * x),
              lambda x: Robertson(0.5 + 0.5 * x))
@@ -75,6 +87,8 @@ def test_sweep_rounds_are_one_pass_over_all_members(monkeypatch, n):
     coarse, rounds = 100, 4
     search.sweep(specs, coarse=coarse, refine_rounds=rounds)
     assert sizes == [n * (coarse + 1)] * (rounds + 1)
+    assert envelopes == [(n, coarse + 1)] * (rounds + 1)
+    assert len(own) == n
     assert len(scalar_calls) <= n
 
 
