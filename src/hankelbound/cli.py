@@ -51,6 +51,9 @@ EXIT_USAGE = 2
 GAP_FLOOR = -1e-9  # search must never beat the proven bound (relative to it)
 #: Largest ymax-certify --n; the triples are drawn at once, 24 bytes each.
 MAX_CERTIFY_N = 10 ** 6
+#: Largest number of sweep --values.  search.sweep holds about 30 KB per member
+#: at once: 29 MiB for 1000 Ozaki members at the default grid (tracemalloc).
+MAX_SWEEP_VALUES = 1000
 #: Largest modulus of a gamma literal.  H_{2,1} is of degree 4 in (a2, a3, a4), so
 #: no term on either path exceeds 1e76^4 = 1e304, and their sums stay below 1.8e308.
 MAX_LITERAL = 1e76
@@ -95,7 +98,7 @@ def _count(text: str) -> int:
 
 
 def _values(text: str) -> list[float]:
-    """argparse type of --values: one or more comma-separated numbers."""
+    """argparse type of --values: 1 to MAX_SWEEP_VALUES comma-separated numbers."""
     values = []
     for item in text.split(","):
         if item.strip():
@@ -105,6 +108,9 @@ def _values(text: str) -> list[float]:
                 raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
     if not values:
         raise argparse.ArgumentTypeError(f"no value given in {text!r}")
+    if len(values) > MAX_SWEEP_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_SWEEP_VALUES} values, got {len(values)}")
     return values
 
 

@@ -9,7 +9,6 @@ and raises ``PathMismatchError`` when they disagree, so every caller, the
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from .families import CoeffTriple
@@ -48,9 +47,3 @@ def h21(a: CoeffTriple) -> complex:
     if not mismatch <= 1e-12 * scale:
         raise PathMismatchError(f"H_{{2,1}} path mismatch {mismatch!r} for {a!r}")
     return value
-
-
-def rotate(a: CoeffTriple, theta: float) -> CoeffTriple:
-    """Coefficients of e^{-i*theta} f(e^{i*theta} z)."""
-    w = cmath.exp(1j * theta)
-    return CoeffTriple(w * a.a2, w * w * a.a3, w ** 3 * a.a4)

@@ -40,6 +40,10 @@ MAX_COARSE = 256
 #: Largest refine_rounds.  Round t spaces its nodes 8^-t/coarse apart, which
 #: at coarse 64 is 2^-(3t+6); at t = 16 that is 2^-54, below the spacing of
 #: doubles in [0.5, 1], so further rounds cannot move the result there.
+#: The value runs out sooner: near a smooth maximum G falls off as the square
+#: of the distance, so within about 1e-8 of the argmax it is flat to float
+#: precision.  Rounds after about round 7 only break ties, and argmax p1 is
+#: determined to about 8 digits.
 MAX_REFINE_ROUNDS = 16
 
 

@@ -67,22 +67,6 @@ class PowerSeries:
         return f"PowerSeries({self.coeffs.tolist()!r})"
 
 
-def div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Quotient q with q*b = a up to the truncation order."""
-    if not abs(b[0]) > 0.0:
-        raise SeriesDomainError("division by a series with zero or NaN constant term")
-    n = min(a.order, b.order)
-    q = np.zeros(n + 1, dtype=complex)
-    bc = b.coeffs
-    for k in range(n + 1):
-        acc = a.coeffs[k]
-        if k:
-            m = min(k, b.order)
-            acc -= np.dot(bc[1 : m + 1], q[k - m : k][::-1])
-        q[k] = acc / bc[0]
-    return PowerSeries(q)
-
-
 def log_unit(a: PowerSeries) -> PowerSeries:
     """log of a series with constant term 1 (principal branch at z = 0)."""
     if not abs(a[0] - 1.0) <= _UNIT_ATOL:
@@ -114,4 +98,3 @@ def exp_unit(a: PowerSeries) -> PowerSeries:
             acc += k * ac[k] * b[m - k]
         b[m] = acc / m
     return PowerSeries(b)
-

@@ -21,10 +21,11 @@ from hankelbound.families import (
     extremal_coeffs,
     sharp_bound,
 )
-from hankelbound.hankel import h21, rotate
+from hankelbound.hankel import h21
 from hankelbound.search import global_max
 from hankelbound.series import PowerSeries, log_unit
 from hankelbound.ymax import grid_allowance, y_closed_form, y_oracle
+from reference import rotate
 
 GAP_TOL = 5e-4
 GAP_FLOOR = 1e-9

@@ -6,13 +6,11 @@ from hankelbound.caratheodory import (
     InvalidParameterError,
     SchurParams,
     c_from_params,
-    rep_degree1,
-    rep_degree2,
-    validate_caratheodory,
 )
 from hankelbound import search
 from hankelbound.families import Ozaki, coeffs_ode_oracle
-from hankelbound.series import PowerSeries, div, exp_unit, log_unit
+from hankelbound.series import PowerSeries, exp_unit, log_unit
+from reference import div, rep_degree1, rep_degree2, validate_caratheodory
 
 
 def random_params(rng) -> SchurParams:

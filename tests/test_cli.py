@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from hankelbound import cli, hankel, search, ymax
-from hankelbound.cli import MAX_CERTIFY_N, main
+from hankelbound.cli import MAX_CERTIFY_N, MAX_SWEEP_VALUES, main
 from hankelbound.search import MAX_REFINE_ROUNDS
 from hankelbound.ymax import YCase
 
@@ -127,6 +127,18 @@ class TestSweep:
         assert captured.out == ""
         assert "argument --values:" in captured.err
         assert "max()" not in captured.err and "could not convert" not in captured.err
+
+    def test_values_above_cap_exit_2(self, capsys, no_search):
+        # search.sweep holds about 30 KB per member at once, so an unbounded
+        # list is refused before any member is built.
+        values = ["0.5"] * MAX_SWEEP_VALUES
+        assert len(cli._values(",".join(values))) == MAX_SWEEP_VALUES
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "ozaki", "--values", ",".join(values + ["0.5"])])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "argument --values:" in captured.err
 
     def test_values_tolerate_spaces_and_empty_items(self, capsys):
         code, payload = run_json(capsys, [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hankelbound.caratheodory import CTriple, SchurParams, c_from_params, rep_degree1
+from hankelbound.caratheodory import CTriple, SchurParams, c_from_params
 from hankelbound.families import (
     CoeffTriple,
     Ozaki,
@@ -18,6 +18,7 @@ from hankelbound.families import (
 )
 from hankelbound.hankel import h21
 from hankelbound.series import PowerSeries, exp_unit, log_unit
+from reference import rep_degree1
 
 HALF_PLANE = CTriple(2.0, 2.0, 2.0)
 

@@ -11,8 +11,9 @@ from hankelbound.families import (
     Spirallike,
     coeffs_closed_form,
 )
-from hankelbound.hankel import h21, h21_monomial, log_coeffs, rotate
+from hankelbound.hankel import h21, h21_monomial, log_coeffs
 from hankelbound.series import PowerSeries, log_unit
+from reference import rotate
 
 KOEBE = CoeffTriple(2.0, 3.0, 4.0)
 

@@ -12,7 +12,10 @@ import hankelbound
 from hankelbound import cli, search
 from hankelbound.families import Ozaki, Robertson, Spirallike
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "hankelbound").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "hankelbound").glob("*.py"))
+INIT = ROOT / "src" / "hankelbound" / "__init__.py"
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -24,12 +27,32 @@ def test_no_bare_assert(path):
     assert not lines, f"{path.name}: bare assert on line(s) {lines}"
 
 
-def test_exports_resolve_once_in_order():
-    # A stale export, such as a name whose definition has gone, fails here.
-    names = hankelbound.__all__
-    assert [name for name in names if not hasattr(hankelbound, name)] == []
-    assert len(set(names)) == len(names)
-    assert names == sorted(names)
+def _names(tree):
+    """Every identifier and string constant the tree names."""
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= {node.value for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return named
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p != INIT],
+                         ids=lambda p: p.name)
+def test_every_definition_is_used_by_the_program(path):
+    # src/ holds only what the program runs or the benchmark traces: each
+    # top-level function or class is named outside its own definition, in
+    # a module of src/ or in bench/ (whose tracer names functions as strings).
+    # Test-only references belong in tests/reference.py.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    others = [p for p in SOURCES + BENCH if p not in (path, INIT)]
+    outside = set().union(*(_names(ast.parse(p.read_text(), filename=str(p))) for p in others))
+    unused = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in outside.union(
+                  *(_names(other) for other in tree.body if other is not node))]
+    assert not unused, f"{path.name}: named by neither src/ nor bench/: {unused}"
 
 
 def test_search_rounds_are_array_passes(monkeypatch):
@@ -132,17 +155,11 @@ FAMILY_CLASSES = {"Spirallike", "Ozaki", "Robertson"}
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "families.py"],
                          ids=lambda p: p.name)
 def test_family_kinds_known_to_families_alone(path):
-    # Only families.py tells the kinds apart; __init__.py re-exports the
-    # classes, and cli.py reads the FAMILIES table for its --family choices.
+    # Only families.py tells the kinds apart; cli.py reads the FAMILIES
+    # table for its --family choices.
     tree = ast.parse(path.read_text(), filename=str(path))
     allowed = {"FAMILIES"} if path.name == "cli.py" else set()
-    if path.name == "__init__.py":
-        allowed |= FAMILY_CLASSES
-    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    named |= {alias.name for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not (named & (FAMILY_CLASSES | {"FAMILIES"})) - allowed, path.name
+    assert not (_names(tree) & (FAMILY_CLASSES | {"FAMILIES"})) - allowed, path.name
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
