@@ -41,8 +41,8 @@ from .families import (
 )
 from .hankel import PathMismatchError, h21, h21_monomial, log_coeffs
 from .search import SearchReport, bound_monotonicity, global_max, sweep
-from .ymax import (CERT_ANGULAR, CERT_RADIAL, YCase, _oracle_nodes, grid_allowance,
-                   y_closed_form, y_oracle)
+from .ymax import (CERT_ANGULAR, CERT_RADIAL, YCase, _oracle_nodes, grid_allowance, y_oracle,
+                   y_values)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -218,20 +218,18 @@ def cmd_ymax_certify(args: argparse.Namespace) -> int:
     _oracle_nodes(args.radial, args.angular)  # check the grid before any draw
     rng = np.random.default_rng(args.seed)
     triples = rng.uniform(-5.0, 5.0, size=(args.n, 3))
-    worst = 0.0
-    worst_triple = [0.0, 0.0, 0.0]
-    passed = 0
-    cases = dict.fromkeys((case.value for case in YCase), 0)
-    grids = y_oracle(*triples.T, radial=args.radial, angular=args.angular)
-    for (A, B, C), grid in zip(triples, grids):
-        res = y_closed_form(A, B, C)
-        cases[res.case_label.value] += 1
-        disc = abs(res.value - grid)
-        if disc <= args.tol + grid_allowance(B, C, args.radial, args.angular):
-            passed += 1
-        if disc > worst:
-            worst = disc
-            worst_triple = [float(A), float(B), float(C)]
+    A, B, C = triples.T
+    closed, index = y_values(A, B, C, case_index=True)
+    counts = np.bincount(index, minlength=len(YCase)).tolist()
+    cases = {case.value: count for case, count in zip(YCase, counts)}
+    disc = np.abs(closed - y_oracle(A, B, C, radial=args.radial, angular=args.angular))
+    passed = int(np.count_nonzero(
+        disc <= args.tol + grid_allowance(B, C, args.radial, args.angular)))
+    # The first largest discrepancy above 0; a nan one is never the worst.
+    disc = np.where(disc > 0.0, disc, 0.0)
+    at = int(np.argmax(disc))
+    worst = float(disc[at])
+    worst_triple = triples[at].tolist() if worst > 0.0 else [0.0, 0.0, 0.0]
     ok = passed == args.n
     config = {name: getattr(args, name) for name in ("n", "seed", "tol", "radial", "angular")}
     results = [{

@@ -4,16 +4,20 @@
 A, B, C, recording which branch fired and a disk point where that branch's
 value is attained.  ``y_values`` is its array twin: bit for bit the same
 value for every triple of three arrays, in one numpy pass, as the search
-needs on all p1 nodes of a refinement round at once.  ``y_oracle`` is an
+needs on all p1 nodes of a refinement round at once, and on request each
+triple's branch, as ``ymax-certify`` counts them.  ``y_oracle`` is an
 independent maximization over a polar grid: on each circle the squared
 modulus is a quadratic in cos(theta), so only the end nodes and the nodes
 next to its vertex are evaluated, and the result is exactly the grid
-maximum.  It takes one triple or arrays of many, in one loop over chunks
-of a fixed number of (triple, radius) pairs on a grid that the cached
-``_oracle_nodes`` checks and builds; each element is computed by the same
-expression either way, so a batched maximum is bit for bit the
-single-triple one.  ``y_certify`` checks the lemma against the oracle, one
-triple at a time, up to a grid-resolution allowance.
+maximum.  It takes one triple or arrays of many, in chunks of a fixed
+number of (triple, radius) pairs on a grid that the cached ``_oracle_nodes``
+checks and builds.  A batch takes two passes: every ``ORACLE_STRIDE``-th
+radius first, then only the blocks of radii between them whose Lipschitz
+bound in r, plus a rounding margin, reaches the best value so far.  Each
+element is computed by the same expression either way, and a skipped radius
+is below the maximum, so a batched maximum is bit for bit the single-triple
+one.  ``y_certify`` checks the lemma against the oracle, one triple at a
+time, up to a grid-resolution allowance.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ def y_closed_form(A: float, B: float, C: float) -> YResult:
                    complex(u, math.sqrt(1.0 - u * u)))
 
 
-def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray,
+             case_index: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """``y_closed_form(A[i], B[i], C[i]).value`` for every i, bit for bit.
 
     Every branch's value and condition is computed on the whole arrays with
@@ -95,6 +100,10 @@ def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     copied in from the last branch to the first, so an earlier one overwrites
     a later one.  Unselected branches may divide by zero or overflow; their
     inf and nan are discarded, so floating-point errors are ignored here.
+
+    With ``case_index`` the result is (values, index), where index[i] is the
+    position in ``YCase`` of ``y_closed_form(A[i], B[i], C[i]).case_label``,
+    taken from the same conditions as the values.
     """
     A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
     with np.errstate(all="ignore"):
@@ -109,14 +118,25 @@ def y_values(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
         radicand = 1.0 - BB / four_AC
         nonneg = A * C >= 0.0
         out = np.asarray((aA + aC) * np.sqrt(radicand))  # R_SQRT; an array for 0-d input too
-        np.copyto(out, -aA + aB + aC, where=aC * (aB - fourA) - aAaB >= 0.0)  # R_DIFF
-        np.copyto(out, sAB - aC, where=aAaB - aC * (aB + fourA) >= 0.0)  # R_SUM
-        np.copyto(out, one_aA + BB / (4.0 * op),  # NEG_SECOND: B^2 < min(cap, t)
-                  where=BB < np.where(t < cap, t, cap))
-        np.copyto(out, 1.0 - aA + parabola, where=(t <= BB) & (aB < two_om))  # NEG_FIRST
+        r_diff = aC * (aB - fourA) - aAaB >= 0.0
+        np.copyto(out, -aA + aB + aC, where=r_diff)
+        r_sum = aAaB - aC * (aB + fourA) >= 0.0
+        np.copyto(out, sAB - aC, where=r_sum)
+        neg_second = BB < np.where(t < cap, t, cap)  # B^2 < min(cap, t)
+        np.copyto(out, one_aA + BB / (4.0 * op), where=neg_second)
+        neg_first = (t <= BB) & (aB < two_om)
+        np.copyto(out, 1.0 - aA + parabola, where=neg_first)
         np.copyto(out, one_aA + parabola, where=nonneg)  # AC_NONNEG_PARABOLA
-        np.copyto(out, sAB + aC, where=nonneg & (aB - two_om >= 0.0))  # AC_NONNEG_SUM
-        return out
+        nonneg_sum = nonneg & (aB - two_om >= 0.0)
+        np.copyto(out, sAB + aC, where=nonneg_sum)
+        if not case_index:
+            return out
+        # The same conditions, in YCase's order, applied last to first as above.
+        conditions = (nonneg_sum, nonneg, neg_first, neg_second, r_sum, r_diff)
+        index = np.full(out.shape, len(conditions), dtype=np.int8)  # R_SQRT
+        for case in reversed(range(len(conditions))):
+            np.copyto(index, case, where=conditions[case])
+        return out, index
 
 
 @functools.lru_cache(maxsize=8)
@@ -141,6 +161,99 @@ def _oracle_nodes(radial: int, angular: int) -> tuple[np.ndarray, ...]:
 
 #: Elements, 8 bytes each, per (triples x radii) chunk of y_oracle's temporaries.
 ORACLE_CHUNK = 8192
+#: A y_oracle call on this many triples or more prunes radii (two passes);
+#: for fewer, one pass over every radius is faster.
+ORACLE_PRUNE_MIN = 6
+#: Radii per block of the pruned pass: its coarse pass takes every
+#: ORACLE_STRIDE-th radius, its fine pass the interior of blocks that can win.
+ORACLE_STRIDE = 16
+#: Largest |A| + |B| + |C| whose radii are pruned.  Below it no intermediate
+#: of ``_circle_values`` (each at most 5 (|A| + |B| + |C|)^2) overflows.
+ORACLE_PRUNE_SCALE = 1e153
+
+
+def lipschitz(B, C):
+    """|B| + 2|C| + 2, a Lipschitz constant of |A + Bz + Cz^2| + 1 - |z|^2
+    on the closed disk, so also of its grid maximum over each circle, in r:
+    the polynomial's derivative is at most |B| + 2|C| and that of 1 - r^2
+    at most 2.  Floats or arrays."""
+    return abs(B) + 2.0 * abs(C) + 2.0
+
+
+def _circle_values(a, b, c, r, r2, pad):
+    """sqrt(max_k |a + b z + c z^2|^2) + 1 - r^2 over z = r e^(i theta_k),
+    element by element over the broadcast arrays; r2 is r * r, and pad the
+    padded cosines of ``_oracle_nodes``.  Only five nodes per radius are
+    evaluated, the four around the vertex of the quadratic in cos(theta) and
+    the lowest one, which is exactly the maximum over every node.
+    """
+    # |A + Bz + Cz^2|^2 = A^2 + B^2 r^2 + C^2 r^4
+    #                     + 2(AB r + BC r^3) u + 2AC r^2 (2u^2 - 1)
+    const = a * a + b * b * r2 + c * c * r2 * r2 - 2.0 * a * c * r2
+    lin = 2.0 * (a * b * r + b * c * r * r2)
+    quad = 4.0 * a * c * r2
+    # A radius that is not concave peaks at an end node.  Its vertex is put past
+    # the upper end, so its window holds that end; every radius adds the lower
+    # end.  The window is two nodes on each side of the vertex's insertion
+    # point i, as for odd angular counts theta_k and 2*pi - theta_k give
+    # near-equal cosines: pad[i + k], k = 0..3, is u[clip(i - 2 + k, 0, len(u) - 1)].
+    at = np.searchsorted(pad[2:-2], np.divide(-lin, 2.0 * quad, out=np.full_like(lin, np.inf),
+                                              where=quad < 0.0))
+    lowest = pad[0]
+    sq = const + lin * lowest + quad * (lowest * lowest)
+    for k in range(4):
+        uc = pad[at + k]
+        np.maximum(sq, const + lin * uc + quad * (uc * uc), out=sq)
+    return np.sqrt(np.maximum(sq, 0.0)) + 1.0 - r2
+
+
+def _full_max(a, b, c, r, r2, pad):
+    """The maximum over every radius of ``_circle_values`` for each row of
+    the (n, 1) columns a, b, c, in chunks of about ``ORACLE_CHUNK`` elements."""
+    out = np.empty(a.shape[0])
+    step = max(1, ORACLE_CHUNK // r.size)
+    for lo in range(0, out.size, step):
+        rows = slice(lo, lo + step)
+        out[rows] = np.max(_circle_values(a[rows], b[rows], c[rows], r, r2, pad), axis=1)
+    return out
+
+
+def _pruned_max(a, b, c, r, r2, pad):
+    """``_full_max`` bit for bit, from only the radii that can hold the
+    maximum; see ``y_oracle``."""
+    out = np.empty(a.shape[0])
+    radial = r.size - 1
+    edges = np.minimum(np.arange(0, radial + ORACLE_STRIDE, ORACLE_STRIDE), radial)
+    half_width = 0.5 * (r[edges[1:]] - r[edges[:-1]])
+    # A block's interior radii; a short last block repeats its last one.
+    inner = np.minimum(edges[:-1, None] + np.arange(1, ORACLE_STRIDE), edges[1:, None] - 1)
+    step = max(1, ORACLE_CHUNK // edges.size)
+    # Blocks per fine chunk: a fine element also gathers its radius, its
+    # square and their index, so a chunk takes about half as many.
+    fine_step = max(1, ORACLE_CHUNK // (2 * ORACLE_STRIDE))
+    for lo in range(0, out.size, step):
+        rows = slice(lo, lo + step)
+        g = _circle_values(a[rows], b[rows], c[rows], r[edges], r2[edges], pad)
+        best = np.max(g, axis=1)
+        scale = abs(a[rows]) + abs(b[rows]) + abs(c[rows])
+        bound = (0.5 * (g[:, :-1] + g[:, 1:]) + lipschitz(b[rows], c[rows]) * half_width
+                 + 1e-6 * (1.0 + scale))
+        tame = scale < ORACLE_PRUNE_SCALE
+        tri, blocks = np.nonzero((bound >= best[:, None]) & tame)
+        del g, bound  # the fine pass's temporaries come on top of these
+        for f in range(0, tri.size, fine_step):
+            i, j = tri[f:f + fine_step], inner[blocks[f:f + fine_step]]
+            k = i + lo
+            fine = np.max(_circle_values(a[k], b[k], c[k], r[j], r2[j], pad), axis=1)
+            # tri is sorted: reduce each triple's blocks, then fold into best.
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            i = i[first]
+            best[i] = np.maximum(best[i], np.maximum.reduceat(fine, first))
+        # A nan, an inf or a scale past ORACLE_PRUNE_SCALE: every radius.
+        wild = np.flatnonzero(~tame[:, 0]) + lo
+        out[rows] = best
+        out[wild] = _full_max(a[wild], b[wild], c[wild], r, r2, pad)
+    return out
 
 
 def y_oracle(A: float | np.ndarray, B: float | np.ndarray, C: float | np.ndarray,
@@ -152,55 +265,54 @@ def y_oracle(A: float | np.ndarray, B: float | np.ndarray, C: float | np.ndarray
 
     The grid is r_j = j/radial (j = 0..radial, so r = 0 and r = 1 are
     included) times theta_k = 2*pi*k/angular.  For real coefficients the
-    squared modulus on the circle of radius r_j is a quadratic in
+    squared modulus on the circle of radius r_j is a quadratic Q_j in
     u = cos(theta), so its largest value over the grid's u-nodes sits at an
-    end node or, for a concave quadratic, at a node next to the vertex.  Only
-    five nodes per radius are evaluated, the four around the vertex and the
-    lowest, with the same floating-point expression as a scan of every node,
-    so the result is exactly the grid maximum.  Nothing here uses the
-    piecewise formula of ``y_closed_form``.
+    end node or, for a concave quadratic, at a node next to the vertex.
+    ``_circle_values`` evaluates only those five nodes per radius, with the
+    same floating-point expression as a scan of every node, so its value
+    g_j = sqrt(max_k Q_j(u_k)) + 1 - r_j^2 is exactly the grid's.  Nothing
+    here uses the piecewise formula of ``y_closed_form``.
 
-    One loop takes the triples in chunks of about ``ORACLE_CHUNK`` (triple,
-    radius) pairs, with the radius on the last axis, so temporaries stay small
-    for any count and grid; ``_oracle_nodes`` rejects a bad grid before that.
-    Every element is computed by the same expression as for one triple alone,
-    so batching does not change a bit.
+    Fewer than ``ORACLE_PRUNE_MIN`` triples take one pass over every radius.
+    More take two.  The coarse pass computes g_j at every m-th radius
+    (m = ``ORACLE_STRIDE``) and at r = 1.  The grid maximum g(r) is
+    lip-Lipschitz in r, lip = ``lipschitz(B, C)``, so on a block [r_lo, r_hi]
+    of width w, g(r) <= min(g_lo + lip (r - r_lo), g_hi + lip (r_hi - r))
+    <= (g_lo + g_hi)/2 + lip w/2.  The fine pass evaluates the interior radii
+    of the blocks where that bound plus a margin reaches the best coarse
+    value; every radius it skips is below the maximum, so the result is bit
+    for bit the one-pass value.
+
+    The margin 1e-6 (1 + S), S = |A| + |B| + |C|, covers rounding.  Below
+    ``ORACLE_PRUNE_SCALE`` every term of Q_j is at most S^2 and no partial
+    sum exceeds 5 S^2, so nothing overflows, and Q_j is computed with an
+    absolute error of at most about 100 eps S^2 (some 20 roundings, each of
+    a value below 5 S^2).  As
+    |sqrt x - sqrt y| <= sqrt|x - y|, each computed g_j is then within
+    d = sqrt(100 eps) S + 4 eps (1 + S) < 1.5e-7 S + 1e-15 of the exact grid
+    value.  The bound needs 2 d (d at the skipped radius, d for the mean of
+    the ends) and a few eps (1 + S + lip) for its own rounding; the margin is
+    more than all three.  A triple with a nan, an inf or S past
+    ``ORACLE_PRUNE_SCALE`` takes the one pass, so even its nan is the same.
+
+    Both passes take about ``ORACLE_CHUNK`` elements at a time, so
+    temporaries stay small for any count and grid; ``_oracle_nodes`` rejects
+    a bad grid before that.  Every element is computed by the same
+    expression as for one triple alone, so batching does not change a bit.
     """
     A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
     if not A.shape == B.shape == C.shape:
         raise ValueError(f"A, B and C differ in shape: {A.shape}, {B.shape}, {C.shape}")
     r, r2, pad = _oracle_nodes(radial, angular)
-    u, lowest = pad[2:-2], pad[0]
-    columns = [x.reshape(-1, 1) for x in (A, B, C)]
-    out = np.empty(A.size)
-    step = max(1, ORACLE_CHUNK // (radial + 1))
-    for lo in range(0, A.size, step):
-        a, b, c = (x[lo:lo + step] for x in columns)
-        # |A + Bz + Cz^2|^2 = A^2 + B^2 r^2 + C^2 r^4
-        #                     + 2(AB r + BC r^3) u + 2AC r^2 (2u^2 - 1)
-        const = a * a + b * b * r2 + c * c * r2 * r2 - 2.0 * a * c * r2
-        lin = 2.0 * (a * b * r + b * c * r * r2)
-        quad = 4.0 * a * c * r2
-        # A row that is not concave peaks at an end node.  Its vertex is put past
-        # the upper end, so its window holds that end; every row adds the lower
-        # end.  The window is two nodes on each side of the vertex's insertion
-        # point i, as for odd angular counts theta_k and 2*pi - theta_k give
-        # near-equal cosines: pad[i + k], k = 0..3, is u[clip(i - 2 + k, 0, len(u) - 1)].
-        at = np.searchsorted(u, np.divide(-lin, 2.0 * quad, out=np.full_like(lin, np.inf),
-                                          where=quad < 0.0))
-        sq = const + lin * lowest + quad * (lowest * lowest)
-        for k in range(4):
-            uc = pad[at + k]
-            np.maximum(sq, const + lin * uc + quad * (uc * uc), out=sq)
-        row_max = np.sqrt(np.maximum(sq, 0.0))
-        out[lo:lo + step] = np.max(row_max + 1.0 - r2, axis=1)
+    scan = _full_max if A.size < ORACLE_PRUNE_MIN else _pruned_max
+    out = scan(A.reshape(-1, 1), B.reshape(-1, 1), C.reshape(-1, 1), r, r2, pad)
     return float(out[0]) if A.ndim == 0 else out.reshape(A.shape)
 
 
-def grid_allowance(B: float, C: float, radial: int = CERT_RADIAL,
-                   angular: int = CERT_ANGULAR) -> float:
-    """Lipschitz-based slack covering the gap between grid and true maximum."""
-    lip = abs(B) + 2.0 * abs(C) + 2.0
+def grid_allowance(B, C, radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR):
+    """Lipschitz-based slack covering the gap between grid and true maximum,
+    for floats or arrays B and C."""
+    lip = lipschitz(B, C)
     return lip * math.pi / angular + lip / radial
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hankelbound
-from hankelbound import cli, search
+from hankelbound import cli, search, ymax
 from hankelbound.families import Ozaki, Robertson, Spirallike
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,19 +134,28 @@ def test_import_loads_no_third_party_package_but_numpy():
 
 def test_ymax_certify_is_one_oracle_pass(monkeypatch, capsys):
     # ymax-certify takes the grid maxima of all its triples in one array
-    # y_oracle call; a per-triple loop would call it 1000 times.
-    calls = []
-    oracle = cli.y_oracle
+    # y_oracle call, and their closed forms and branches in one y_values
+    # call; a per-triple loop would call the scalar lemma 1000 times.
+    calls = {"y_oracle": [], "y_values": [], "y_closed_form": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return oracle(*args, **kwargs)
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name].append(args)
+            return function(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cli, "y_oracle", counted)
+    monkeypatch.setattr(cli, "y_oracle", counted("y_oracle", cli.y_oracle))
+    monkeypatch.setattr(cli, "y_values", counted("y_values", cli.y_values))
+    scalar = counted("y_closed_form", ymax.y_closed_form)
+    monkeypatch.setattr(ymax, "y_closed_form", scalar)
+    monkeypatch.setattr(cli, "y_closed_form", scalar, raising=False)
     assert cli.main(["ymax-certify", "--n", "1000"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
-    assert [len(a) for a in calls[0]] == [1000, 1000, 1000]
+    assert len(calls["y_oracle"]) == 1
+    assert [len(a) for a in calls["y_oracle"][0]] == [1000, 1000, 1000]
+    assert len(calls["y_values"]) == 1
+    assert [len(a) for a in calls["y_values"][0]] == [1000, 1000, 1000]
+    assert calls["y_closed_form"] == []
 
 
 FAMILY_CLASSES = {"Spirallike", "Ozaki", "Robertson"}

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -10,6 +11,8 @@ from hankelbound.families import Ozaki, Robertson, Spirallike
 from hankelbound.search import envelope, global_max
 from hankelbound.ymax import (
     ORACLE_CHUNK,
+    ORACLE_PRUNE_MIN,
+    ORACLE_STRIDE,
     YCase,
     _oracle_nodes,
     grid_allowance,
@@ -59,8 +62,9 @@ class TestMaximiser:
         assert min(seen[case] for case in YCase) >= 20, seen
 
 
-def _full_scan(A, B, C, radial, angular):
-    """Reference oracle: the same expression evaluated at every grid node."""
+def _full_scan_radii(A, B, C, radial, angular):
+    """Reference grid value at every radius: the same expression evaluated
+    at every grid node."""
     n_u = angular // 2 + 1 if angular % 2 == 0 else angular
     r = np.arange(radial + 1) / radial
     u = np.cos(2.0 * np.pi * np.arange(n_u) / angular)
@@ -70,7 +74,12 @@ def _full_scan(A, B, C, radial, angular):
     quad = 4.0 * A * C * r2
     sq = const[:, None] + lin[:, None] * u[None, :] + quad[:, None] * (u * u)[None, :]
     row_max = np.sqrt(np.maximum(sq.max(axis=1), 0.0))
-    return float(np.max(row_max + 1.0 - r2))
+    return row_max + 1.0 - r2
+
+
+def _full_scan(A, B, C, radial, angular):
+    """Reference oracle: the largest of ``_full_scan_radii``."""
+    return float(np.max(_full_scan_radii(A, B, C, radial, angular)))
 
 
 def envelope_triples(rng, count):
@@ -132,10 +141,13 @@ class TestBatch:
     @pytest.mark.parametrize("radial,angular", [(64, 256), (512, 2048)])
     def test_sizes_around_the_chunk(self, radial, angular):
         # Batches that fill part of one chunk, exactly one, one and a bit,
-        # and many with a partial last one.
+        # and many with a partial last one, in the one-pass chunks and in
+        # the pruned pass's; and batches around the crossover between them.
         chunk = ORACLE_CHUNK // (radial + 1)
+        pruned = ORACLE_CHUNK // (-(-radial // ORACLE_STRIDE) + 1)
         rng = np.random.default_rng(chunk)
-        for size in (1, chunk - 1, chunk, chunk + 1, 1000):
+        for size in (1, chunk - 1, chunk, chunk + 1, 1000, pruned - 1, pruned, pruned + 1,
+                     ORACLE_PRUNE_MIN - 1, ORACLE_PRUNE_MIN, ORACLE_PRUNE_MIN + 1):
             _assert_oracle_matches(rng.uniform(-5.0, 5.0, size=(size, 3)), radial, angular,
                                    full_scan=False)
 
@@ -171,6 +183,88 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < 2 ** 20
+
+
+def _winning_radius(triple, radial, angular):
+    values = _full_scan_radii(*triple, radial, angular)
+    return int(np.argmax(values)), values
+
+
+class TestPruning:
+    """A batch of ORACLE_PRUNE_MIN triples or more skips the radii that a
+    Lipschitz bound in r rules out; its result is still the full scan's."""
+
+    GRIDS = [(64, 256), (100, 301), (128, 257), (512, 2048)]
+
+    @pytest.mark.parametrize("radial,angular", GRIDS)
+    def test_winner_inside_a_block(self, radial, angular):
+        # Small random triples peak inside the disk.  A large A with small B
+        # and AC >= 0 peaks at r* = |B| / (2 (1 - |C|)), put here half way
+        # between two coarse radii.  From |A| ~ 1e5 the margin 1e-6 (1 + S)
+        # exceeds the slack of the Lipschitz bound, so a margin of the wrong
+        # sign drops the peak.
+        rng = np.random.default_rng(radial + angular)
+        triples = [tuple(t) for t in rng.uniform(-0.5, 0.5, size=(30, 3))]
+        for k, A in enumerate((1.0, -10.0, 1e3, -1e5, 1e5, -1e7)):
+            r_star = (ORACLE_STRIDE * (k % (radial // ORACLE_STRIDE)) + 7.5) / radial
+            for C in (0.0, 0.3):
+                triples.append((A, 2.0 * (1.0 - C) * r_star * (-1) ** k, math.copysign(C, A)))
+        inside = beaten = 0
+        for triple in triples:
+            j, values = _winning_radius(triple, radial, angular)
+            if j % ORACLE_STRIDE and j != radial:
+                inside += 1
+                coarse = values[np.minimum(np.arange(0, radial + ORACLE_STRIDE, ORACLE_STRIDE),
+                                           radial)]
+                beaten += bool(values[j] > coarse.max())
+        assert inside >= 30 and beaten >= 30, (inside, beaten)
+        _assert_oracle_matches(triples, radial, angular)
+
+    @pytest.mark.parametrize("radial,angular", GRIDS)
+    def test_zero_triple(self, radial, angular):
+        # A = B = C = 0: g = 1 - r^2, largest at r = 0.
+        triples = list(itertools.product((0.0, -0.0), repeat=3))
+        assert len(triples) >= ORACLE_PRUNE_MIN
+        _assert_oracle_matches(triples, radial, angular)
+        assert np.all(y_oracle(*np.array(triples).T, radial, angular) == 1.0)
+
+    @pytest.mark.parametrize("magnitude", [1e-150, 1e150])
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (512, 2048)])
+    def test_extreme_magnitudes(self, magnitude, radial, angular):
+        rng = np.random.default_rng(radial + (magnitude > 1.0))
+        triples = magnitude * rng.uniform(-5.0, 5.0, size=(24, 3))
+        mixed = [(magnitude, 0.5, 0.25), (-magnitude, 1e-3, -0.7), (0.0, magnitude, 0.0),
+                 (1.0, 0.2, magnitude), (magnitude, -magnitude, magnitude)]
+        _assert_oracle_matches([*triples.tolist(), *mixed], radial, angular)
+
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (128, 257)])
+    def test_non_finite(self, radial, angular):
+        # A nan or an infinity in any slot, or an overflow, gives the
+        # one-pass value, bit for bit, also next to finite triples in one batch.
+        finite = (0.0, -1.5, 2.0, 1e150)
+        triples = [tuple(np.roll((bad, x, y), slot))
+                   for bad in (math.nan, math.inf, -math.inf) for slot in range(3)
+                   for x in finite for y in finite]
+        # Finite triples whose squared modulus overflows: inf, or nan.
+        triples += [(1e200, 0.0, 0.0), (-1e180, 1.0, 0.0), (1e160, 1e160, -1e160)]
+        triples += np.random.default_rng(22).uniform(-1.0, 1.0, size=(20, 3)).tolist()
+        with np.errstate(all="ignore"):
+            _assert_oracle_matches(triples, radial, angular, full_scan=False)
+            batch = y_oracle(*np.array(triples).T, radial, angular)
+        assert np.isnan(batch).any() and np.isposinf(batch).any()
+
+    def test_every_magnitude(self):
+        # |A|, |B|, |C| from 1e-300 to 1e300: past ORACLE_PRUNE_SCALE the
+        # squared modulus may overflow at some radii only, and such a triple
+        # takes the one pass, so even its nan is the one-pass nan.
+        rng = np.random.default_rng(23)
+        triples = 10.0 ** rng.uniform(-300, 300, size=(3000, 3)) * rng.choice([-1, 1], (3000, 3))
+        # A^2 overflows, and 2AB r does past r = 1/2: inf at some radii, nan
+        # at others.
+        wild = (2.6725682798628607e+235, -6.712799067421129e+72, 1.8230318269981457e-88)
+        with np.errstate(all="ignore"):
+            _assert_oracle_matches([wild] * ORACLE_PRUNE_MIN, 64, 256, full_scan=False)
+            _assert_oracle_matches(triples, 64, 256, full_scan=False)
 
 
 def _assert_values_match(triples):
@@ -215,6 +309,19 @@ class TestValues:
 
     def test_envelope_triples(self):
         _assert_values_match(envelope_triples(np.random.default_rng(13), 200))
+
+    def test_case_index_is_the_scalar_label(self):
+        # The branch index comes from the same conditions as the values: it
+        # is y_closed_form's case_label, node by node, in every branch.
+        triples = [*sample_triples(np.random.default_rng(17)), *DEGENERATE]
+        A, B, C = np.array(triples).T
+        values, index = y_values(A, B, C, case_index=True)
+        labels = [y_closed_form(*t).case_label for t in triples]
+        assert set(labels) == set(YCase)
+        assert index.tolist() == [list(YCase).index(label) for label in labels]
+        assert np.array_equal(values.view(np.int64), y_values(A, B, C).view(np.int64))
+        value, case = y_values(1.0, 0.0, -1.0, case_index=True)
+        assert value == 2.0 and case == list(YCase).index(YCase.R_SQRT)
 
     def test_r_sqrt_radicand_is_at_least_one(self):
         # In R_SQRT AC < 0, so 1 - B^2/(4AC) >= 1: the negative-radicand
