@@ -8,20 +8,19 @@ needs on all p1 nodes of a refinement round at once, and on request each
 triple's branch, as ``ymax-certify`` counts them.  ``y_oracle`` is an
 independent maximization over a polar grid: on each circle the squared
 modulus is a quadratic in cos(theta), so only the end nodes and the nodes
-next to its vertex are evaluated, and the result is exactly the grid
-maximum.  It takes one triple or arrays of many, in chunks of a fixed
-number of (triple, radius) pairs on a grid that the cached ``_oracle_nodes``
-checks and builds.  A batch takes two passes: every ``ORACLE_STRIDE``-th
-radius first, then only the blocks of radii between them whose Lipschitz
-bound in r, plus a rounding margin, reaches the best value so far.  Each
-element is computed by the same expression either way, and a skipped radius
-is below the maximum, so a batched maximum is bit for bit the single-triple
-one.  ``y_certify`` checks the lemma against the oracle, one triple at a
-time, up to a grid-resolution allowance.
+next to its vertex are evaluated, in place by one kernel, and the result
+is exactly the grid maximum.  One triple is one kernel call on Python
+floats against the 1-D radii of the grid that the cached ``_oracle_nodes``
+checks and builds; a batch goes in chunks and two passes: every
+``ORACLE_STRIDE``-th radius, then only the blocks between them whose
+Lipschitz bound in r, plus a rounding margin, reaches the best value so
+far, bit for bit the one-triple maximum.  ``y_certify`` checks the lemma
+against the oracle, one triple at a time, up to a grid-resolution allowance.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -144,8 +143,7 @@ def _oracle_nodes(radial: int, angular: int) -> tuple[np.ndarray, ...]:
     """Radii, squared radii and the grid's distinct cosines, sorted and padded
     by their end values, two on each side; a grid that fails the check
     builds no array.  The arrays are shared by every call with the same
-    grid, so they are returned read-only.
-    """
+    grid, so they are returned read-only."""
     # theta_k and 2*pi - theta_k give the same cos, hence the same value;
     # for even angular counts the distinct cosines are k = 0..angular/2.
     n_u = angular // 2 + 1 if angular % 2 == 0 else angular
@@ -161,15 +159,27 @@ def _oracle_nodes(radial: int, angular: int) -> tuple[np.ndarray, ...]:
 
 #: Elements, 8 bytes each, per (triples x radii) chunk of y_oracle's temporaries.
 ORACLE_CHUNK = 8192
-#: A y_oracle call on this many triples or more prunes radii (two passes);
-#: for fewer, one pass over every radius is faster.
-ORACLE_PRUNE_MIN = 6
+#: A y_oracle call on this many triples or more prunes radii (two passes); for
+#: fewer, one pass over every radius is faster (measured from 1 to 9 triples).
+ORACLE_PRUNE_MIN = 8
 #: Radii per block of the pruned pass: its coarse pass takes every
 #: ORACLE_STRIDE-th radius, its fine pass the interior of blocks that can win.
 ORACLE_STRIDE = 16
 #: Largest |A| + |B| + |C| whose radii are pruned.  Below it no intermediate
 #: of ``_circle_values`` (each at most 5 (|A| + |B| + |C|)^2) overflows.
 ORACLE_PRUNE_SCALE = 1e153
+
+
+def _tame(a, b, c):
+    """Where ``_circle_values`` cannot overflow (floats or arrays): S = |a| + |b| + |c| below
+    ``ORACLE_PRUNE_SCALE``, and a or c zero or |a c| >= 1e-290 S^2, so the vertex stays finite."""
+    s = abs(a) + abs(b) + abs(c)
+    return (s < ORACLE_PRUNE_SCALE) & ((abs(a * c) >= 1e-290 * (s * s)) | (a == 0.0) | (c == 0.0))
+
+
+def _quiet(tame):
+    """Overflow and invalid go unreported, unless tame (then at no cost)."""
+    return contextlib.nullcontext() if tame else np.errstate(over="ignore", invalid="ignore")
 
 
 def lipschitz(B, C):
@@ -185,26 +195,37 @@ def _circle_values(a, b, c, r, r2, pad):
     element by element over the broadcast arrays; r2 is r * r, and pad the
     padded cosines of ``_oracle_nodes``.  Only five nodes per radius are
     evaluated, the four around the vertex of the quadratic in cos(theta) and
-    the lowest one, which is exactly the maximum over every node.
-    """
+    the lowest one, which is exactly the maximum over every node."""
     # |A + Bz + Cz^2|^2 = A^2 + B^2 r^2 + C^2 r^4
     #                     + 2(AB r + BC r^3) u + 2AC r^2 (2u^2 - 1)
-    const = a * a + b * b * r2 + c * c * r2 * r2 - 2.0 * a * c * r2
-    lin = 2.0 * (a * b * r + b * c * r * r2)
-    quad = 4.0 * a * c * r2
-    # A radius that is not concave peaks at an end node.  Its vertex is put past
-    # the upper end, so its window holds that end; every radius adds the lower
-    # end.  The window is two nodes on each side of the vertex's insertion
-    # point i, as for odd angular counts theta_k and 2*pi - theta_k give
-    # near-equal cosines: pad[i + k], k = 0..3, is u[clip(i - 2 + k, 0, len(u) - 1)].
-    at = np.searchsorted(pad[2:-2], np.divide(-lin, 2.0 * quad, out=np.full_like(lin, np.inf),
+    # In place, in the order of const = a * a + b * b * r2 + c * c * r2 * r2 - 2.0 * a * c * r2,
+    # lin = 2.0 * (a * b * r + b * c * r * r2), quad = 4.0 * a * c * r2, Q(u) = const + lin * u
+    # + quad * (u * u) and sqrt(max(Q, 0)) + 1.0 - r2, so each step rounds as those do.
+    const, q = np.multiply(b * b, r2), np.multiply(c * c, r2)
+    np.add(a * a, const, out=const)
+    np.add(const, np.multiply(q, r2, out=q), out=const)
+    np.subtract(const, np.multiply(2.0 * a * c, r2, out=q), out=const)
+    lin = np.multiply(a * b, r)
+    np.add(lin, np.multiply(np.multiply(b * c, r, out=q), r2, out=q), out=lin)
+    np.multiply(2.0, lin, out=lin)
+    quad = np.multiply(4.0 * a * c, r2)
+    # A radius that is not concave peaks at an end node.  Its vertex, -lin / (2 quad), taken as
+    # lin / (-2 quad) (the same but for a nan's sign), is put past the upper end, so its window
+    # holds that end; every radius adds the lower end.  The window is two nodes on each side of
+    # the vertex's insertion point i, as for odd angular counts theta_k and 2*pi - theta_k give
+    # near-equal cosines: pad[k:][i], k = 0..3, is u[clip(i - 2 + k, 0, len(u) - 1)].
+    sq = np.full_like(lin, np.inf)
+    at = np.searchsorted(pad[2:-2], np.divide(lin, np.multiply(-2.0, quad, out=q), out=sq,
                                               where=quad < 0.0))
-    lowest = pad[0]
-    sq = const + lin * lowest + quad * (lowest * lowest)
+    np.add(np.add(const, np.multiply(lin, pad[0], out=sq), out=sq),
+           np.multiply(quad, pad[0] * pad[0], out=q), out=sq)
     for k in range(4):
-        uc = pad[at + k]
-        np.maximum(sq, const + lin * uc + quad * (uc * uc), out=sq)
-    return np.sqrt(np.maximum(sq, 0.0)) + 1.0 - r2
+        u = pad[k:][at]
+        np.add(np.add(const, np.multiply(lin, u, out=q), out=q),
+               np.multiply(quad, np.multiply(u, u, out=u), out=u), out=q)
+        np.maximum(sq, q, out=sq)
+    np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+    return np.subtract(np.add(sq, 1.0, out=sq), r2, out=sq)
 
 
 def _full_max(a, b, c, r, r2, pad):
@@ -218,7 +239,7 @@ def _full_max(a, b, c, r, r2, pad):
     return out
 
 
-def _pruned_max(a, b, c, r, r2, pad):
+def _pruned_max(a, b, c, tame, r, r2, pad):
     """``_full_max`` bit for bit, from only the radii that can hold the
     maximum; see ``y_oracle``."""
     out = np.empty(a.shape[0])
@@ -228,8 +249,7 @@ def _pruned_max(a, b, c, r, r2, pad):
     # A block's interior radii; a short last block repeats its last one.
     inner = np.minimum(edges[:-1, None] + np.arange(1, ORACLE_STRIDE), edges[1:, None] - 1)
     step = max(1, ORACLE_CHUNK // edges.size)
-    # Blocks per fine chunk: a fine element also gathers its radius, its
-    # square and their index, so a chunk takes about half as many.
+    # Blocks per fine chunk: half as many, as a fine element also gathers r, r2 and an index.
     fine_step = max(1, ORACLE_CHUNK // (2 * ORACLE_STRIDE))
     for lo in range(0, out.size, step):
         rows = slice(lo, lo + step)
@@ -238,8 +258,7 @@ def _pruned_max(a, b, c, r, r2, pad):
         scale = abs(a[rows]) + abs(b[rows]) + abs(c[rows])
         bound = (0.5 * (g[:, :-1] + g[:, 1:]) + lipschitz(b[rows], c[rows]) * half_width
                  + 1e-6 * (1.0 + scale))
-        tame = scale < ORACLE_PRUNE_SCALE
-        tri, blocks = np.nonzero((bound >= best[:, None]) & tame)
+        tri, blocks = np.nonzero((bound >= best[:, None]) & tame[rows])
         del g, bound  # the fine pass's temporaries come on top of these
         for f in range(0, tri.size, fine_step):
             i, j = tri[f:f + fine_step], inner[blocks[f:f + fine_step]]
@@ -249,8 +268,8 @@ def _pruned_max(a, b, c, r, r2, pad):
             first = np.flatnonzero(np.diff(i, prepend=-1))
             i = i[first]
             best[i] = np.maximum(best[i], np.maximum.reduceat(fine, first))
-        # A nan, an inf or a scale past ORACLE_PRUNE_SCALE: every radius.
-        wild = np.flatnonzero(~tame[:, 0]) + lo
+        # A triple that is not ``_tame`` (a nan, an inf, S too large): every radius.
+        wild = np.flatnonzero(~tame[rows, 0]) + lo
         out[rows] = best
         out[wild] = _full_max(a[wild], b[wild], c[wild], r, r2, pad)
     return out
@@ -263,50 +282,56 @@ def y_oracle(A: float | np.ndarray, B: float | np.ndarray, C: float | np.ndarray
     A, B and C are floats, or arrays of one shape; the result is a float,
     or an array of that shape holding the grid maximum of every triple.
 
-    The grid is r_j = j/radial (j = 0..radial, so r = 0 and r = 1 are
-    included) times theta_k = 2*pi*k/angular.  For real coefficients the
-    squared modulus on the circle of radius r_j is a quadratic Q_j in
-    u = cos(theta), so its largest value over the grid's u-nodes sits at an
-    end node or, for a concave quadratic, at a node next to the vertex.
-    ``_circle_values`` evaluates only those five nodes per radius, with the
-    same floating-point expression as a scan of every node, so its value
-    g_j = sqrt(max_k Q_j(u_k)) + 1 - r_j^2 is exactly the grid's.  Nothing
-    here uses the piecewise formula of ``y_closed_form``.
+    The grid is r_j = j/radial (j = 0..radial) times theta_k =
+    2*pi*k/angular.  For real coefficients the squared modulus on the circle
+    of radius r_j is a quadratic Q_j in u = cos(theta), so its largest value
+    over the grid's u-nodes sits at an end node or, for a concave quadratic,
+    next to the vertex.  ``_circle_values`` evaluates only those five nodes
+    per radius, with the floating-point operations of a scan of every node,
+    so g_j = sqrt(max_k Q_j(u_k)) + 1 - r_j^2 is exactly the grid's value.
+    Nothing here uses the piecewise formula of ``y_closed_form``.
 
-    Fewer than ``ORACLE_PRUNE_MIN`` triples take one pass over every radius.
-    More take two.  The coarse pass computes g_j at every m-th radius
-    (m = ``ORACLE_STRIDE``) and at r = 1.  The grid maximum g(r) is
+    One triple is one ``_circle_values`` call on Python floats against the
+    1-D radii.  Fewer than ``ORACLE_PRUNE_MIN`` triples take one pass over
+    every radius, more take two.  The coarse pass computes g_j at every m-th
+    radius (m = ``ORACLE_STRIDE``) and at r = 1.  The grid maximum g(r) is
     lip-Lipschitz in r, lip = ``lipschitz(B, C)``, so on a block [r_lo, r_hi]
     of width w, g(r) <= min(g_lo + lip (r - r_lo), g_hi + lip (r_hi - r))
     <= (g_lo + g_hi)/2 + lip w/2.  The fine pass evaluates the interior radii
     of the blocks where that bound plus a margin reaches the best coarse
-    value; every radius it skips is below the maximum, so the result is bit
-    for bit the one-pass value.
+    value; every radius it skips is below the maximum.  Each element takes
+    the same float operations on every path, so none changes a bit.
 
     The margin 1e-6 (1 + S), S = |A| + |B| + |C|, covers rounding.  Below
     ``ORACLE_PRUNE_SCALE`` every term of Q_j is at most S^2 and no partial
     sum exceeds 5 S^2, so nothing overflows, and Q_j is computed with an
     absolute error of at most about 100 eps S^2 (some 20 roundings, each of
-    a value below 5 S^2).  As
-    |sqrt x - sqrt y| <= sqrt|x - y|, each computed g_j is then within
-    d = sqrt(100 eps) S + 4 eps (1 + S) < 1.5e-7 S + 1e-15 of the exact grid
-    value.  The bound needs 2 d (d at the skipped radius, d for the mean of
-    the ends) and a few eps (1 + S + lip) for its own rounding; the margin is
-    more than all three.  A triple with a nan, an inf or S past
-    ``ORACLE_PRUNE_SCALE`` takes the one pass, so even its nan is the same.
-
-    Both passes take about ``ORACLE_CHUNK`` elements at a time, so
-    temporaries stay small for any count and grid; ``_oracle_nodes`` rejects
-    a bad grid before that.  Every element is computed by the same
-    expression as for one triple alone, so batching does not change a bit.
+    a value below 5 S^2).  As |sqrt x - sqrt y| <= sqrt|x - y|, each g_j is
+    within d = sqrt(100 eps) S + 4 eps (1 + S) < 1.5e-7 S + 1e-15 of the
+    exact grid value.  The bound needs 2 d (d at the skipped radius, d for
+    the mean of the ends) and a few eps (1 + S + lip) for its own rounding;
+    the margin is more than all three.  A triple that is not ``_tame`` (a
+    nan, an inf, S past ``ORACLE_PRUNE_SCALE``) takes the one pass, so even
+    its nan is the same; only a call holding one silences numpy's overflow
+    and invalid warnings.  Both passes take about ``ORACLE_CHUNK`` elements
+    at a time; ``_oracle_nodes`` rejects a bad grid first.
     """
     A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
     if not A.shape == B.shape == C.shape:
         raise ValueError(f"A, B and C differ in shape: {A.shape}, {B.shape}, {C.shape}")
     r, r2, pad = _oracle_nodes(radial, angular)
-    scan = _full_max if A.size < ORACLE_PRUNE_MIN else _pruned_max
-    out = scan(A.reshape(-1, 1), B.reshape(-1, 1), C.reshape(-1, 1), r, r2, pad)
-    return float(out[0]) if A.ndim == 0 else out.reshape(A.shape)
+    if A.size == 1:  # Python floats against the 1-D radii
+        a, b, c = A.item(), B.item(), C.item()
+        with _quiet(_tame(a, b, c)):
+            out = _circle_values(a, b, c, r, r2, pad).max()
+        return float(out) if A.ndim == 0 else np.full(A.shape, out)
+    a, b, c = A.reshape(-1, 1), B.reshape(-1, 1), C.reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # S itself may overflow
+        tame = _tame(a, b, c)
+    with _quiet(tame.all()):
+        out = (_full_max(a, b, c, r, r2, pad) if A.size < ORACLE_PRUNE_MIN
+               else _pruned_max(a, b, c, tame, r, r2, pad))
+    return out.reshape(A.shape)
 
 
 def grid_allowance(B, C, radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR):
@@ -319,8 +344,8 @@ def grid_allowance(B, C, radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR)
 def y_certify(A: float, B: float, C: float, tol: float,
               radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR) -> bool:
     """True iff closed form and oracle agree within tol plus grid allowance."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # a nan tol certifies nothing, an infinite one anything
+        raise ValueError("tol must be positive and finite")
     closed = y_closed_form(A, B, C).value
     grid = y_oracle(A, B, C, radial=radial, angular=angular)
     return abs(closed - grid) <= tol + grid_allowance(B, C, radial, angular)

@@ -158,6 +158,31 @@ def test_ymax_certify_is_one_oracle_pass(monkeypatch, capsys):
     assert calls["y_closed_form"] == []
 
 
+def test_y_certify_is_one_kernel_call(monkeypatch):
+    # y_certify takes one triple: y_oracle evaluates it in one _circle_values
+    # call on Python floats against the grid's 1-D radii, with no chunk loop
+    # and no (1, 1) columns, and enters no np.errstate for a tame triple.
+    calls, quiet = [], []
+    kernel, errstate = ymax._circle_values, ymax.np.errstate
+
+    def counted(a, b, c, r, r2, pad):
+        calls.append((a, b, c, r, r2))
+        return kernel(a, b, c, r, r2, pad)
+
+    def counted_errstate(**kwargs):
+        quiet.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(ymax, "_circle_values", counted)
+    monkeypatch.setattr(ymax.np, "errstate", counted_errstate)
+    assert ymax.y_certify(0.3, -1.2, 0.5, 1e-6)
+    assert len(calls) == 1
+    a, b, c, r, r2 = calls[0]
+    assert [type(x) for x in (a, b, c)] == [float, float, float]
+    assert r.shape == r2.shape == (ymax.CERT_RADIAL + 1,)
+    assert quiet == []
+
+
 FAMILY_CLASSES = {"Spirallike", "Ozaki", "Robertson"}
 
 

@@ -95,13 +95,14 @@ def envelope_triples(rng, count):
 
 
 #: A = 0, C = 0, B = 0, AC > 0 (convex rows), a vertex -B/(4Cr) outside
-#: [-1, 1] at every radius, the imaginary diameter, and tiny coefficients.
+#: [-1, 1] at every radius, the imaginary diameter, tiny coefficients, and
+#: a tiny AC whose vertex overflows to inf.
 DEGENERATE = [
     (0.0, 1.5, -2.0), (-0.0, -3.0, 0.5), (2.0, -1.0, 0.0), (-1.0, 4.0, -0.0),
     (1.5, 0.0, -2.5), (-3.0, 0.0, 0.7), (0.0, 0.0, 0.0), (0.0, 2.0, 0.0),
     (2.0, 1.0, 3.0), (-1.0, -4.0, -0.5), (0.0, 0.0, -2.0), (4.0, 0.0, 0.0),
     (1.0, 4.5, -1.0), (-2.0, -9.0, 2.0), (1.0, 0.0, -1.0), (1e-9, 1e-9, -1e-9),
-    (3.0, 1e-12, -1e-3), (1.0, 0.02, -1.0),
+    (3.0, 1e-12, -1e-3), (1.0, 0.02, -1.0), (1e-310, 1.0, -1e-14), (1e-300, 1e10, -1e-23),
 ]
 
 
@@ -247,11 +248,30 @@ class TestPruning:
                    for x in finite for y in finite]
         # Finite triples whose squared modulus overflows: inf, or nan.
         triples += [(1e200, 0.0, 0.0), (-1e180, 1.0, 0.0), (1e160, 1e160, -1e160)]
+        # Finite triples of modest S whose vertex -lin / (2 quad) overflows.
+        triples += [(1e-310, 1.0, -1e-14), (1e-300, 1e10, -1e-23), (-5e-324, 1.0, 1e-10)]
         triples += np.random.default_rng(22).uniform(-1.0, 1.0, size=(20, 3)).tolist()
-        with np.errstate(all="ignore"):
-            _assert_oracle_matches(triples, radial, angular, full_scan=False)
-            batch = y_oracle(*np.array(triples).T, radial, angular)
+        # y_oracle silences numpy's warnings for these itself: the suite
+        # turns a RuntimeWarning into an error.
+        _assert_oracle_matches(triples, radial, angular, full_scan=False)
+        batch = y_oracle(*np.array(triples).T, radial, angular)
         assert np.isnan(batch).any() and np.isposinf(batch).any()
+
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (77_000, 256)])
+    def test_tame_edge(self, radial, angular):
+        # A tame triple takes no np.errstate, so the suite's error filter
+        # fails this on any warning.  With |A| = |B| = S/2 and |A C| = rho S^2
+        # the vertex -lin / (2 quad) at r = 1/radial is about radial / (16 rho);
+        # rho runs across the edge of the tame set, 1e-290, down to where that
+        # overflows, at a grid near the largest y_oracle accepts.
+        triples = []
+        for S in 10.0 ** np.arange(-3.0, 151.0, 17.0):
+            for rho in 10.0 ** np.arange(-330.0, -279.0, 2.0):
+                C = rho * S / 0.5 * (1.0 + 1e-12)
+                triples.append((0.5 * S, 0.5 * S - C, -C))
+        for triple in triples:
+            y_oracle(*triple, radial, angular)
+        y_oracle(*np.array(triples).T, 64, 256)
 
     def test_every_magnitude(self):
         # |A|, |B|, |C| from 1e-300 to 1e300: past ORACLE_PRUNE_SCALE the
@@ -262,9 +282,8 @@ class TestPruning:
         # A^2 overflows, and 2AB r does past r = 1/2: inf at some radii, nan
         # at others.
         wild = (2.6725682798628607e+235, -6.712799067421129e+72, 1.8230318269981457e-88)
-        with np.errstate(all="ignore"):
-            _assert_oracle_matches([wild] * ORACLE_PRUNE_MIN, 64, 256, full_scan=False)
-            _assert_oracle_matches(triples, 64, 256, full_scan=False)
+        _assert_oracle_matches([wild] * ORACLE_PRUNE_MIN, 64, 256, full_scan=False)
+        _assert_oracle_matches(triples, 64, 256, full_scan=False)
 
 
 def _assert_values_match(triples):
@@ -408,9 +427,11 @@ class TestCertify:
     def test_grid_node_exact(self):
         assert y_certify(1, 1, 1, 1e-9)
 
-    def test_requires_positive_tol(self):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_requires_positive_tol(self, tol):
+        # A nan tol would certify nothing and an infinite one anything.
         with pytest.raises(ValueError):
-            y_certify(1, 1, 1, 0.0)
+            y_certify(1, 1, 1, tol)
 
     def test_random_sample(self):
         rng = np.random.default_rng(6)
