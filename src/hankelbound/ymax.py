@@ -14,8 +14,8 @@ floats against the 1-D radii of the grid that the cached ``_oracle_nodes``
 checks and builds; a batch goes in chunks and two passes: every
 ``ORACLE_STRIDE``-th radius, then only the blocks between them whose
 Lipschitz bound in r, plus a rounding margin, reaches the best value so
-far, bit for bit the one-triple maximum.  ``y_certify`` checks the lemma
-against the oracle, one triple at a time, up to a grid-resolution allowance.
+far, bit for bit the one-triple maximum.  ``y_certify`` checks a triple
+against the grid, up to an allowance, by exact circle maxima where they decide.
 """
 
 from __future__ import annotations
@@ -190,17 +190,13 @@ def lipschitz(B, C):
     return abs(B) + 2.0 * abs(C) + 2.0
 
 
-def _circle_values(a, b, c, r, r2, pad):
-    """sqrt(max_k |a + b z + c z^2|^2) + 1 - r^2 over z = r e^(i theta_k),
-    element by element over the broadcast arrays; r2 is r * r, and pad the
-    padded cosines of ``_oracle_nodes``.  Only five nodes per radius are
-    evaluated, the four around the vertex of the quadratic in cos(theta) and
-    the lowest one, which is exactly the maximum over every node."""
+def _circle_quadratic(a, b, c, r, r2):
+    """const, lin, quad of |a + b z + c z^2|^2 = const + lin u + quad u^2 at z = r e^(i theta),
+    u = cos(theta), and a scratch array, over the broadcast arrays; r2 is r * r."""
     # |A + Bz + Cz^2|^2 = A^2 + B^2 r^2 + C^2 r^4
     #                     + 2(AB r + BC r^3) u + 2AC r^2 (2u^2 - 1)
     # In place, in the order of const = a * a + b * b * r2 + c * c * r2 * r2 - 2.0 * a * c * r2,
-    # lin = 2.0 * (a * b * r + b * c * r * r2), quad = 4.0 * a * c * r2, Q(u) = const + lin * u
-    # + quad * (u * u) and sqrt(max(Q, 0)) + 1.0 - r2, so each step rounds as those do.
+    # lin = 2.0 * (a * b * r + b * c * r * r2) and quad = 4.0 * a * c * r2: each step rounds so.
     const, q = np.multiply(b * b, r2), np.multiply(c * c, r2)
     np.add(a * a, const, out=const)
     np.add(const, np.multiply(q, r2, out=q), out=const)
@@ -208,7 +204,17 @@ def _circle_values(a, b, c, r, r2, pad):
     lin = np.multiply(a * b, r)
     np.add(lin, np.multiply(np.multiply(b * c, r, out=q), r2, out=q), out=lin)
     np.multiply(2.0, lin, out=lin)
-    quad = np.multiply(4.0 * a * c, r2)
+    return const, lin, np.multiply(4.0 * a * c, r2), q
+
+
+def _circle_values(a, b, c, r, r2, pad):
+    """sqrt(max_k |a + b z + c z^2|^2) + 1 - r^2 over z = r e^(i theta_k),
+    element by element over the broadcast arrays; r2 is r * r, and pad the
+    padded cosines of ``_oracle_nodes``.  Only five nodes per radius are
+    evaluated, the four around the vertex of the quadratic in cos(theta) and
+    the lowest one, which is exactly the maximum over every node."""
+    # Q(u) = const + lin * u + quad * (u * u), sqrt(max(Q, 0)) + 1.0 - r2: in place in that order.
+    const, lin, quad, q = _circle_quadratic(a, b, c, r, r2)
     # A radius that is not concave peaks at an end node.  Its vertex, -lin / (2 quad), taken as
     # lin / (-2 quad) (the same but for a nan's sign), is put past the upper end, so its window
     # holds that end; every radius adds the lower end.  The window is two nodes on each side of
@@ -226,6 +232,20 @@ def _circle_values(a, b, c, r, r2, pad):
         np.maximum(sq, q, out=sq)
     np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     return np.subtract(np.add(sq, 1.0, out=sq), r2, out=sq)
+
+
+def _circle_maxima(a, b, c, r, r2):
+    """``_circle_values`` over the whole circle: Q's maximum over u in [-1, 1], const + quad + |lin|
+    at an end, or where quad < 0 and |lin| < -2 quad, const - lin^2 / (4 quad) at the vertex,
+    taken as const - lin (lin / (4 quad)), a quotient below 1/2 in modulus."""
+    const, lin, quad, q = _circle_quadratic(a, b, c, r, r2)
+    top = np.add(const, quad)
+    np.add(top, np.abs(lin, out=q), out=top)
+    vertex = q < -2.0 * quad  # so quad < 0, as q = |lin| >= 0
+    np.divide(lin, np.multiply(4.0, quad, out=quad), out=q, where=vertex)
+    np.subtract(const, np.multiply(lin, q, out=q, where=vertex), out=top, where=vertex)
+    np.sqrt(np.maximum(top, 0.0, out=top), out=top)
+    return np.subtract(np.add(top, 1.0, out=top), r2, out=top)
 
 
 def _full_max(a, b, c, r, r2, pad):
@@ -343,9 +363,27 @@ def grid_allowance(B, C, radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR)
 
 def y_certify(A: float, B: float, C: float, tol: float,
               radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR) -> bool:
-    """True iff closed form and oracle agree within tol plus grid allowance."""
+    """True iff |closed - grid| <= T, T = tol + ``grid_allowance``: the closed
+    form and ``y_oracle``'s grid agree.  A ``_tame`` triple is first decided
+    from ``_circle_maxima``.  Its largest value M is at least grid, whose nodes
+    lie on the circles, and at most grid + (|B| + 2|C|) pi/angular, as each
+    circle's maximum is within pi/angular in theta of a node and |A + Bz + Cz^2|
+    is (|B| + 2|C|)-Lipschitz in theta.  By ``y_oracle``'s argument, with a few
+    more roundings, both are computed to 1.5e-7 S + 1e-15, so m = 1e-6 (1 + S)
+    covers them and the comparisons: an enclosure [M - (|B| + 2|C|) pi/angular
+    - m, M + m] inside [closed - T, closed + T] gives True, one outside False.
+    Any other triple is scanned, so the bool is the grid's in every case."""
     if not 0.0 < tol < math.inf:  # a nan tol certifies nothing, an infinite one anything
         raise ValueError("tol must be positive and finite")
     closed = y_closed_form(A, B, C).value
+    allowed = tol + grid_allowance(B, C, radial, angular)
+    a, b, c = float(A), float(B), float(C)
+    if _tame(a, b, c):
+        top = float(_circle_maxima(a, b, c, *_oracle_nodes(radial, angular)[:2]).max())
+        margin = 1e-6 * (1.0 + abs(a) + abs(b) + abs(c))
+        lo, hi = top - (abs(b) + 2.0 * abs(c)) * math.pi / angular - margin, top + margin
+        inside = closed - allowed <= lo and hi <= closed + allowed
+        if inside or hi < closed - allowed or closed + allowed < lo:
+            return inside
     grid = y_oracle(A, B, C, radial=radial, angular=angular)
-    return abs(closed - grid) <= tol + grid_allowance(B, C, radial, angular)
+    return abs(closed - grid) <= allowed

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hankelbound
@@ -158,29 +159,42 @@ def test_ymax_certify_is_one_oracle_pass(monkeypatch, capsys):
     assert calls["y_closed_form"] == []
 
 
-def test_y_certify_is_one_kernel_call(monkeypatch):
-    # y_certify takes one triple: y_oracle evaluates it in one _circle_values
-    # call on Python floats against the grid's 1-D radii, with no chunk loop
-    # and no (1, 1) columns, and enters no np.errstate for a tame triple.
-    calls, quiet = [], []
-    kernel, errstate = ymax._circle_values, ymax.np.errstate
+def test_y_certify_decides_from_circle_maxima(monkeypatch):
+    # A tame triple that the enclosure decides takes one _circle_maxima call
+    # on Python floats against the grid's 1-D radii, no grid scan and no
+    # np.errstate.  A closed form at the edge of the band, |closed - grid| = T,
+    # is left undecided and takes the one-triple grid scan: one
+    # _circle_values call.
+    maxima, scans, quiet = [], [], []
+    circle, kernel, errstate = ymax._circle_maxima, ymax._circle_values, ymax.np.errstate
 
-    def counted(a, b, c, r, r2, pad):
-        calls.append((a, b, c, r, r2))
-        return kernel(a, b, c, r, r2, pad)
+    def counted_maxima(a, b, c, r, r2):
+        maxima.append((a, b, c, r, r2))
+        return circle(a, b, c, r, r2)
+
+    def counted_scan(*args):
+        scans.append(args)
+        return kernel(*args)
 
     def counted_errstate(**kwargs):
         quiet.append(kwargs)
         return errstate(**kwargs)
 
-    monkeypatch.setattr(ymax, "_circle_values", counted)
+    triple = (0.3, -1.2, 0.5)
+    edge = ymax.y_oracle(*triple) + 1e-6 + ymax.grid_allowance(*triple[1:])
+    monkeypatch.setattr(ymax, "_circle_maxima", counted_maxima)
+    monkeypatch.setattr(ymax, "_circle_values", counted_scan)
     monkeypatch.setattr(ymax.np, "errstate", counted_errstate)
-    assert ymax.y_certify(0.3, -1.2, 0.5, 1e-6)
-    assert len(calls) == 1
-    a, b, c, r, r2 = calls[0]
+    assert ymax.y_certify(np.float64(0.3), -1.2, 0.5, 1e-6)
+    assert len(maxima) == 1 and scans == [] and quiet == []
+    a, b, c, r, r2 = maxima[0]
     assert [type(x) for x in (a, b, c)] == [float, float, float]
     assert r.shape == r2.shape == (ymax.CERT_RADIAL + 1,)
-    assert quiet == []
+    maxima.clear()
+    monkeypatch.setattr(ymax, "y_closed_form",
+                        lambda A, B, C: ymax.YResult(edge, ymax.YCase.R_SQRT, 0j))
+    ymax.y_certify(*triple, 1e-6)
+    assert len(maxima) == 1 and len(scans) == 1 and quiet == []
 
 
 FAMILY_CLASSES = {"Spirallike", "Ozaki", "Robertson"}

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hankelbound import ymax
 from hankelbound.families import Ozaki, Robertson, Spirallike
 from hankelbound.search import envelope, global_max
 from hankelbound.ymax import (
@@ -14,6 +15,8 @@ from hankelbound.ymax import (
     ORACLE_PRUNE_MIN,
     ORACLE_STRIDE,
     YCase,
+    YResult,
+    _circle_maxima,
     _oracle_nodes,
     grid_allowance,
     y_certify,
@@ -437,6 +440,65 @@ class TestCertify:
         rng = np.random.default_rng(6)
         for A, B, C in rng.uniform(-5, 5, size=(200, 3)):
             assert y_certify(A, B, C, 1e-6)
+
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (512, 2048)])
+    def test_shifted_closed_form(self, monkeypatch, radial, angular):
+        # Negative controls, with T = tol + grid_allowance: the closed form
+        # moved by k T, and put just inside and just outside each edge of
+        # the band [grid - T, grid + T].  The answer is True inside the band
+        # and False outside it, and at every shift it is the exact grid's,
+        # whether the enclosure of the grid maximum decided it or the grid
+        # was scanned.  At |k| = 1 the enclosure straddles the band's edge;
+        # at the coarse grid the enclosure's lower end lies well below the
+        # grid's value, so the edge shifts fail if it is not low enough.
+        tol = 1e-6
+        rng = np.random.default_rng(24)
+        triples = [*envelope_triples(rng, 50), *rng.uniform(-5.0, 5.0, size=(150, 3)).tolist(),
+                   *DEGENERATE]
+        closed_form, scans, outcomes = ymax.y_closed_form, [], collections.Counter()
+        monkeypatch.setattr(ymax, "y_oracle", lambda *args, **kw: scans.append(args)
+                            or y_oracle(*args, **kw))
+        for A, B, C in triples:
+            T = tol + grid_allowance(B, C, radial, angular)
+            closed, grid = closed_form(A, B, C).value, y_oracle(A, B, C, radial, angular)
+            shifts = [(closed + k * T, None if abs(k) == 1.0 else abs(k) < 1.0)
+                      for k in (-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0)]
+            shifts += [(grid + side * T * (1.0 + e), e < 0.0)
+                       for side in (-1.0, 1.0) for e in (-1e-9, 1e-9)]
+            for value, inside in shifts:
+                monkeypatch.setattr(ymax, "y_closed_form",
+                                    lambda *_: YResult(value, YCase.R_SQRT, 0j))
+                scans.clear()
+                got = y_certify(A, B, C, tol, radial, angular)
+                assert got == (abs(value - grid) <= T), (A, B, C, value - closed)
+                assert inside is None or got == inside, (A, B, C, value - closed)
+                outcomes["scanned" if scans else got] += 1
+        assert outcomes[True] and outcomes[False] and outcomes["scanned"], outcomes
+
+
+class TestCircleMaxima:
+    """``_circle_maxima``, the exact maximum over each circle, encloses the
+    grid's value at that radius: grid_j <= circle_j + m and grid_j >=
+    circle_j - (|B| + 2|C|) pi/angular - m, m = 1e-6 (1 + S)."""
+
+    @pytest.mark.parametrize("radial,angular", [(64, 256), (128, 257), (512, 2048)])
+    def test_sandwich(self, radial, angular):
+        # The suite turns a RuntimeWarning into an error, so the kernel must
+        # raise none, at r = 0 (quad = 0) or at magnitude 1e150 either.
+        rng = np.random.default_rng(radial + angular)
+        uniform = rng.uniform(-5.0, 5.0, size=(60, 3))
+        huge = [(1e150, 0.5, 0.25), (-1e150, 1e-3, -0.7), (0.0, 1e150, 0.0), (1.0, 0.2, 1e150),
+                (1e150, -1e150, 1e150), *(1e150 * uniform[:20]).tolist()]
+        triples = [*uniform.tolist(), *envelope_triples(rng, 10), *DEGENERATE, *huge,
+                   *(-np.array(huge)).tolist()]
+        r, r2, _ = _oracle_nodes(radial, angular)
+        for A, B, C in triples:
+            grid = _full_scan_radii(A, B, C, radial, angular)
+            circle = _circle_maxima(A, B, C, r, r2)
+            margin = 1e-6 * (1.0 + abs(A) + abs(B) + abs(C))
+            assert np.all(grid <= circle + margin), (A, B, C)
+            assert np.all(grid >= circle - (abs(B) + 2.0 * abs(C)) * math.pi / angular - margin), \
+                (A, B, C)
 
 
 class TestInvariants:
