@@ -11,16 +11,16 @@ modulus is a quadratic in cos(theta), so only the end nodes and the nodes
 next to its vertex are evaluated, in place by one kernel, and the result
 is exactly the grid maximum.  One triple is one kernel call on Python
 floats against the 1-D radii of the grid that the cached ``_oracle_nodes``
-checks and builds; a batch goes in chunks and two passes: every
-``ORACLE_STRIDE``-th radius, then only the blocks between them whose
+checks and builds.  A batch of two or more goes in chunks and two passes:
+every ``ORACLE_STRIDE``-th radius, then only the blocks between them whose
 Lipschitz bound in r, plus a rounding margin, reaches the best value so
-far, bit for bit the one-triple maximum.  ``y_certify`` checks a triple
-against the grid, up to an allowance, by exact circle maxima where they decide.
+far, bit for bit the one-triple maximum; a triple that could overflow is
+scanned as one triple.  ``y_certify`` checks a triple against the grid, up
+to an allowance, by exact circle maxima where they decide.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import math
@@ -159,27 +159,22 @@ def _oracle_nodes(radial: int, angular: int) -> tuple[np.ndarray, ...]:
 
 #: Elements, 8 bytes each, per (triples x radii) chunk of y_oracle's temporaries.
 ORACLE_CHUNK = 8192
-#: A y_oracle call on this many triples or more prunes radii (two passes); for
-#: fewer, one pass over every radius is faster (measured from 1 to 9 triples).
-ORACLE_PRUNE_MIN = 8
-#: Radii per block of the pruned pass: its coarse pass takes every
+#: Radii per block of a batch's pruned scan: its coarse pass takes every
 #: ORACLE_STRIDE-th radius, its fine pass the interior of blocks that can win.
 ORACLE_STRIDE = 16
-#: Largest |A| + |B| + |C| whose radii are pruned.  Below it no intermediate
-#: of ``_circle_values`` (each at most 5 (|A| + |B| + |C|)^2) overflows.
+#: Largest |A| + |B| + |C| whose radii are pruned.  Below it no partial sum of
+#: the squared modulus in ``_circle_values`` (each at most 5 (|A| + |B| + |C|)^2) overflows.
 ORACLE_PRUNE_SCALE = 1e153
 
 
 def _tame(a, b, c):
-    """Where ``_circle_values`` cannot overflow (floats or arrays): S = |a| + |b| + |c| below
-    ``ORACLE_PRUNE_SCALE``, and a or c zero or |a c| >= 1e-290 S^2, so the vertex stays finite."""
-    s = abs(a) + abs(b) + abs(c)
-    return (s < ORACLE_PRUNE_SCALE) & ((abs(a * c) >= 1e-290 * (s * s)) | (a == 0.0) | (c == 0.0))
+    """|a| + |b| + |c| below ``ORACLE_PRUNE_SCALE``: the squared modulus cannot overflow."""
+    return abs(a) + abs(b) + abs(c) < ORACLE_PRUNE_SCALE
 
 
-def _quiet(tame):
-    """Overflow and invalid go unreported, unless tame (then at no cost)."""
-    return contextlib.nullcontext() if tame else np.errstate(over="ignore", invalid="ignore")
+def _margin(a, b, c):
+    """1e-6 (1 + S), S = |a| + |b| + |c|: the rounding margin that ``y_oracle`` argues."""
+    return 1e-6 * (1.0 + (abs(a) + abs(b) + abs(c)))
 
 
 def lipschitz(B, C):
@@ -248,20 +243,9 @@ def _circle_maxima(a, b, c, r, r2):
     return np.subtract(np.add(top, 1.0, out=top), r2, out=top)
 
 
-def _full_max(a, b, c, r, r2, pad):
-    """The maximum over every radius of ``_circle_values`` for each row of
-    the (n, 1) columns a, b, c, in chunks of about ``ORACLE_CHUNK`` elements."""
-    out = np.empty(a.shape[0])
-    step = max(1, ORACLE_CHUNK // r.size)
-    for lo in range(0, out.size, step):
-        rows = slice(lo, lo + step)
-        out[rows] = np.max(_circle_values(a[rows], b[rows], c[rows], r, r2, pad), axis=1)
-    return out
-
-
-def _pruned_max(a, b, c, tame, r, r2, pad):
-    """``_full_max`` bit for bit, from only the radii that can hold the
-    maximum; see ``y_oracle``."""
+def _pruned_max(a, b, c, r, r2, pad):
+    """The grid maximum of each row of the (n, 1) columns a, b, c, from only the radii
+    that can hold it, in chunks of about ``ORACLE_CHUNK`` elements; see ``y_oracle``."""
     out = np.empty(a.shape[0])
     radial = r.size - 1
     edges = np.minimum(np.arange(0, radial + ORACLE_STRIDE, ORACLE_STRIDE), radial)
@@ -273,12 +257,12 @@ def _pruned_max(a, b, c, tame, r, r2, pad):
     fine_step = max(1, ORACLE_CHUNK // (2 * ORACLE_STRIDE))
     for lo in range(0, out.size, step):
         rows = slice(lo, lo + step)
-        g = _circle_values(a[rows], b[rows], c[rows], r[edges], r2[edges], pad)
+        x, y, z = a[rows], b[rows], c[rows]
+        g = _circle_values(x, y, z, r[edges], r2[edges], pad)
         best = np.max(g, axis=1)
-        scale = abs(a[rows]) + abs(b[rows]) + abs(c[rows])
-        bound = (0.5 * (g[:, :-1] + g[:, 1:]) + lipschitz(b[rows], c[rows]) * half_width
-                 + 1e-6 * (1.0 + scale))
-        tri, blocks = np.nonzero((bound >= best[:, None]) & tame[rows])
+        bound = 0.5 * (g[:, :-1] + g[:, 1:]) + lipschitz(y, z) * half_width + _margin(x, y, z)
+        tame = _tame(x, y, z)
+        tri, blocks = np.nonzero((bound >= best[:, None]) & tame)
         del g, bound  # the fine pass's temporaries come on top of these
         for f in range(0, tri.size, fine_step):
             i, j = tri[f:f + fine_step], inner[blocks[f:f + fine_step]]
@@ -288,10 +272,10 @@ def _pruned_max(a, b, c, tame, r, r2, pad):
             first = np.flatnonzero(np.diff(i, prepend=-1))
             i = i[first]
             best[i] = np.maximum(best[i], np.maximum.reduceat(fine, first))
-        # A triple that is not ``_tame`` (a nan, an inf, S too large): every radius.
-        wild = np.flatnonzero(~tame[rows, 0]) + lo
         out[rows] = best
-        out[wild] = _full_max(a[wild], b[wild], c[wild], r, r2, pad)
+        # A triple that is not ``_tame`` (a nan, an inf, S too large): every radius, as one triple.
+        for i in np.flatnonzero(~tame[:, 0]) + lo:
+            out[i] = _circle_values(a.item(i), b.item(i), c.item(i), r, r2, pad).max()
     return out
 
 
@@ -311,47 +295,42 @@ def y_oracle(A: float | np.ndarray, B: float | np.ndarray, C: float | np.ndarray
     so g_j = sqrt(max_k Q_j(u_k)) + 1 - r_j^2 is exactly the grid's value.
     Nothing here uses the piecewise formula of ``y_closed_form``.
 
-    One triple is one ``_circle_values`` call on Python floats against the
-    1-D radii.  Fewer than ``ORACLE_PRUNE_MIN`` triples take one pass over
-    every radius, more take two.  The coarse pass computes g_j at every m-th
-    radius (m = ``ORACLE_STRIDE``) and at r = 1.  The grid maximum g(r) is
-    lip-Lipschitz in r, lip = ``lipschitz(B, C)``, so on a block [r_lo, r_hi]
-    of width w, g(r) <= min(g_lo + lip (r - r_lo), g_hi + lip (r_hi - r))
-    <= (g_lo + g_hi)/2 + lip w/2.  The fine pass evaluates the interior radii
-    of the blocks where that bound plus a margin reaches the best coarse
-    value; every radius it skips is below the maximum.  Each element takes
-    the same float operations on every path, so none changes a bit.
+    One triple is one ``_circle_values`` call on Python floats over every
+    radius.  A batch of two or more takes two passes.  The coarse pass computes
+    g_j at every m-th radius (m = ``ORACLE_STRIDE``) and at r = 1.  The grid
+    maximum g(r) is lip-Lipschitz in r, lip = ``lipschitz(B, C)``, so on a
+    block [r_lo, r_hi] of width w, g(r) <= min(g_lo + lip (r - r_lo),
+    g_hi + lip (r_hi - r)) <= (g_lo + g_hi)/2 + lip w/2.  The fine pass
+    evaluates the interior radii of the blocks where that bound plus a margin
+    reaches the best coarse value; every radius it skips is below the maximum.
+    Each element takes the same float operations on every path, so none
+    changes a bit.
 
-    The margin 1e-6 (1 + S), S = |A| + |B| + |C|, covers rounding.  Below
-    ``ORACLE_PRUNE_SCALE`` every term of Q_j is at most S^2 and no partial
-    sum exceeds 5 S^2, so nothing overflows, and Q_j is computed with an
-    absolute error of at most about 100 eps S^2 (some 20 roundings, each of
-    a value below 5 S^2).  As |sqrt x - sqrt y| <= sqrt|x - y|, each g_j is
-    within d = sqrt(100 eps) S + 4 eps (1 + S) < 1.5e-7 S + 1e-15 of the
-    exact grid value.  The bound needs 2 d (d at the skipped radius, d for
-    the mean of the ends) and a few eps (1 + S + lip) for its own rounding;
-    the margin is more than all three.  A triple that is not ``_tame`` (a
-    nan, an inf, S past ``ORACLE_PRUNE_SCALE``) takes the one pass, so even
-    its nan is the same; only a call holding one silences numpy's overflow
-    and invalid warnings.  Both passes take about ``ORACLE_CHUNK`` elements
-    at a time; ``_oracle_nodes`` rejects a bad grid first.
+    The margin, ``_margin`` = 1e-6 (1 + S), S = |A| + |B| + |C|, covers
+    rounding.  Below ``ORACLE_PRUNE_SCALE`` every term of Q_j is at most S^2
+    and no partial sum exceeds 5 S^2, so nothing overflows, and Q_j is computed
+    with an absolute error of at most about 100 eps S^2 (some 20 roundings,
+    each of a value below 5 S^2).  As |sqrt x - sqrt y| <= sqrt|x - y|, each
+    g_j is within d = sqrt(100 eps) S + 4 eps (1 + S) < 1.5e-7 S + 1e-15 of the
+    exact grid value.  The bound needs 2 d (d at the skipped radius, d for the
+    mean of the ends) and a few eps (1 + S + lip) for its own rounding; the
+    margin is more than all three.  A triple that is not ``_tame`` (a nan, an
+    inf, S past ``ORACLE_PRUNE_SCALE``) is scanned at every radius as one
+    triple, so even its nan is the same.  Its terms may overflow, and for a
+    tiny AC so may the vertex, which is then past an end node as it should be;
+    numpy's overflow and invalid warnings are silenced around the whole call.
+    ``_oracle_nodes`` rejects a bad grid first.
     """
     A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
     if not A.shape == B.shape == C.shape:
         raise ValueError(f"A, B and C differ in shape: {A.shape}, {B.shape}, {C.shape}")
     r, r2, pad = _oracle_nodes(radial, angular)
-    if A.size == 1:  # Python floats against the 1-D radii
-        a, b, c = A.item(), B.item(), C.item()
-        with _quiet(_tame(a, b, c)):
-            out = _circle_values(a, b, c, r, r2, pad).max()
-        return float(out) if A.ndim == 0 else np.full(A.shape, out)
-    a, b, c = A.reshape(-1, 1), B.reshape(-1, 1), C.reshape(-1, 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # S itself may overflow
-        tame = _tame(a, b, c)
-    with _quiet(tame.all()):
-        out = (_full_max(a, b, c, r, r2, pad) if A.size < ORACLE_PRUNE_MIN
-               else _pruned_max(a, b, c, tame, r, r2, pad))
-    return out.reshape(A.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if A.size == 1:  # Python floats against the 1-D radii
+            out = _circle_values(A.item(), B.item(), C.item(), r, r2, pad).max()
+            return float(out) if A.ndim == 0 else np.full(A.shape, out)
+        a, b, c = A.reshape(-1, 1), B.reshape(-1, 1), C.reshape(-1, 1)
+        return _pruned_max(a, b, c, r, r2, pad).reshape(A.shape)
 
 
 def grid_allowance(B, C, radial: int = CERT_RADIAL, angular: int = CERT_ANGULAR):
@@ -369,18 +348,19 @@ def y_certify(A: float, B: float, C: float, tol: float,
     lie on the circles, and at most grid + (|B| + 2|C|) pi/angular, as each
     circle's maximum is within pi/angular in theta of a node and |A + Bz + Cz^2|
     is (|B| + 2|C|)-Lipschitz in theta.  By ``y_oracle``'s argument, with a few
-    more roundings, both are computed to 1.5e-7 S + 1e-15, so m = 1e-6 (1 + S)
+    more roundings, both are computed to 1.5e-7 S + 1e-15, so m = ``_margin``
     covers them and the comparisons: an enclosure [M - (|B| + 2|C|) pi/angular
     - m, M + m] inside [closed - T, closed + T] gives True, one outside False.
     Any other triple is scanned, so the bool is the grid's in every case."""
     if not 0.0 < tol < math.inf:  # a nan tol certifies nothing, an infinite one anything
         raise ValueError("tol must be positive and finite")
+    r, r2, _ = _oracle_nodes(radial, angular)  # a bad grid raises before the allowance divides
     closed = y_closed_form(A, B, C).value
     allowed = tol + grid_allowance(B, C, radial, angular)
     a, b, c = float(A), float(B), float(C)
     if _tame(a, b, c):
-        top = float(_circle_maxima(a, b, c, *_oracle_nodes(radial, angular)[:2]).max())
-        margin = 1e-6 * (1.0 + abs(a) + abs(b) + abs(c))
+        top = float(_circle_maxima(a, b, c, r, r2).max())
+        margin = _margin(a, b, c)
         lo, hi = top - (abs(b) + 2.0 * abs(c)) * math.pi / angular - margin, top + margin
         inside = closed - allowed <= lo and hi <= closed + allowed
         if inside or hi < closed - allowed or closed + allowed < lo:

@@ -164,7 +164,7 @@ def test_y_certify_decides_from_circle_maxima(monkeypatch):
     # on Python floats against the grid's 1-D radii, no grid scan and no
     # np.errstate.  A closed form at the edge of the band, |closed - grid| = T,
     # is left undecided and takes the one-triple grid scan: one
-    # _circle_values call.
+    # _circle_values call, inside y_oracle's one np.errstate.
     maxima, scans, quiet = [], [], []
     circle, kernel, errstate = ymax._circle_maxima, ymax._circle_values, ymax.np.errstate
 
@@ -194,7 +194,33 @@ def test_y_certify_decides_from_circle_maxima(monkeypatch):
     monkeypatch.setattr(ymax, "y_closed_form",
                         lambda A, B, C: ymax.YResult(edge, ymax.YCase.R_SQRT, 0j))
     ymax.y_certify(*triple, 1e-6)
-    assert len(maxima) == 1 and len(scans) == 1 and quiet == []
+    assert len(maxima) == 1 and len(scans) == 1
+    assert quiet == [{"over": "ignore", "invalid": "ignore"}]
+
+
+def test_small_batches_prune_and_scan_only_wild_rows(monkeypatch):
+    # A batch of two or more tame triples is never scanned over all
+    # radial + 1 radii, only at the coarse and the fine ones; a row that is
+    # not tame is scanned over every radius as one triple, in one call.
+    radial, angular = 64, 256
+    radii, kernel = [], ymax._circle_values
+
+    def counted_scan(a, b, c, r, r2, pad):
+        radii.append((a, b, c, r.shape))
+        return kernel(a, b, c, r, r2, pad)
+
+    monkeypatch.setattr(ymax, "_circle_values", counted_scan)
+    rng = np.random.default_rng(25)
+    full = (radial + 1,)
+    for n in range(2, 8):
+        radii.clear()
+        ymax.y_oracle(*rng.uniform(-5.0, 5.0, size=(3, n)), radial, angular)
+        assert radii and full not in [shape for *_, shape in radii], n
+    triples = rng.uniform(-5.0, 5.0, size=(5, 3))
+    triples[3] = (1e200, -0.5, 2.0)
+    radii.clear()
+    ymax.y_oracle(*triples.T, radial, angular)
+    assert [t for t in radii if t[3] == full] == [(1e200, -0.5, 2.0, full)]
 
 
 FAMILY_CLASSES = {"Spirallike", "Ozaki", "Robertson"}

@@ -12,7 +12,6 @@ from hankelbound.families import Ozaki, Robertson, Spirallike
 from hankelbound.search import envelope, global_max
 from hankelbound.ymax import (
     ORACLE_CHUNK,
-    ORACLE_PRUNE_MIN,
     ORACLE_STRIDE,
     YCase,
     YResult,
@@ -144,14 +143,12 @@ class TestFullScan:
 class TestBatch:
     @pytest.mark.parametrize("radial,angular", [(64, 256), (512, 2048)])
     def test_sizes_around_the_chunk(self, radial, angular):
-        # Batches that fill part of one chunk, exactly one, one and a bit,
-        # and many with a partial last one, in the one-pass chunks and in
-        # the pruned pass's; and batches around the crossover between them.
-        chunk = ORACLE_CHUNK // (radial + 1)
+        # One triple, the smallest batches, and batches that fill part of
+        # one pruned chunk, exactly one, one and a bit, and many with a
+        # partial last one.
         pruned = ORACLE_CHUNK // (-(-radial // ORACLE_STRIDE) + 1)
-        rng = np.random.default_rng(chunk)
-        for size in (1, chunk - 1, chunk, chunk + 1, 1000, pruned - 1, pruned, pruned + 1,
-                     ORACLE_PRUNE_MIN - 1, ORACLE_PRUNE_MIN, ORACLE_PRUNE_MIN + 1):
+        rng = np.random.default_rng(pruned)
+        for size in (1, 2, 3, 1000, pruned - 1, pruned, pruned + 1):
             _assert_oracle_matches(rng.uniform(-5.0, 5.0, size=(size, 3)), radial, angular,
                                    full_scan=False)
 
@@ -195,8 +192,8 @@ def _winning_radius(triple, radial, angular):
 
 
 class TestPruning:
-    """A batch of ORACLE_PRUNE_MIN triples or more skips the radii that a
-    Lipschitz bound in r rules out; its result is still the full scan's."""
+    """A batch of two or more triples skips the radii that a Lipschitz bound
+    in r rules out; its result is still the full scan's."""
 
     GRIDS = [(64, 256), (100, 301), (128, 257), (512, 2048)]
 
@@ -228,7 +225,7 @@ class TestPruning:
     def test_zero_triple(self, radial, angular):
         # A = B = C = 0: g = 1 - r^2, largest at r = 0.
         triples = list(itertools.product((0.0, -0.0), repeat=3))
-        assert len(triples) >= ORACLE_PRUNE_MIN
+        assert len(triples) >= 2  # a batch
         _assert_oracle_matches(triples, radial, angular)
         assert np.all(y_oracle(*np.array(triples).T, radial, angular) == 1.0)
 
@@ -244,7 +241,7 @@ class TestPruning:
     @pytest.mark.parametrize("radial,angular", [(64, 256), (128, 257)])
     def test_non_finite(self, radial, angular):
         # A nan or an infinity in any slot, or an overflow, gives the
-        # one-pass value, bit for bit, also next to finite triples in one batch.
+        # one-triple value, bit for bit, also next to finite triples in one batch.
         finite = (0.0, -1.5, 2.0, 1e150)
         triples = [tuple(np.roll((bad, x, y), slot))
                    for bad in (math.nan, math.inf, -math.inf) for slot in range(3)
@@ -262,30 +259,32 @@ class TestPruning:
 
     @pytest.mark.parametrize("radial,angular", [(64, 256), (77_000, 256)])
     def test_tame_edge(self, radial, angular):
-        # A tame triple takes no np.errstate, so the suite's error filter
-        # fails this on any warning.  With |A| = |B| = S/2 and |A C| = rho S^2
-        # the vertex -lin / (2 quad) at r = 1/radial is about radial / (16 rho);
-        # rho runs across the edge of the tame set, 1e-290, down to where that
-        # overflows, at a grid near the largest y_oracle accepts.
+        # Every triple here is tame, down to a vanishing AC, and y_certify
+        # runs _circle_maxima on it outside np.errstate, so the suite's error
+        # filter fails this on any warning.  With |A| = |B| = S/2 and
+        # |A C| = rho S^2 the vertex -lin / (2 quad) at r = 1/radial is about
+        # radial / (16 rho); rho runs from 1e-280 down to where that
+        # overflows, at a grid near the largest y_oracle accepts.  Python
+        # floats, as y_closed_form takes them.
         triples = []
-        for S in 10.0 ** np.arange(-3.0, 151.0, 17.0):
-            for rho in 10.0 ** np.arange(-330.0, -279.0, 2.0):
+        for S in (10.0 ** np.arange(-3.0, 151.0, 17.0)).tolist():
+            for rho in (10.0 ** np.arange(-330.0, -279.0, 2.0)).tolist():
                 C = rho * S / 0.5 * (1.0 + 1e-12)
                 triples.append((0.5 * S, 0.5 * S - C, -C))
         for triple in triples:
-            y_oracle(*triple, radial, angular)
-        y_oracle(*np.array(triples).T, 64, 256)
+            y_certify(*triple, 1e-6, radial, angular)
 
     def test_every_magnitude(self):
         # |A|, |B|, |C| from 1e-300 to 1e300: past ORACLE_PRUNE_SCALE the
         # squared modulus may overflow at some radii only, and such a triple
-        # takes the one pass, so even its nan is the one-pass nan.
+        # is scanned at every radius as one triple, also in a batch of two
+        # or more, so even its nan is the one-triple nan.
         rng = np.random.default_rng(23)
         triples = 10.0 ** rng.uniform(-300, 300, size=(3000, 3)) * rng.choice([-1, 1], (3000, 3))
         # A^2 overflows, and 2AB r does past r = 1/2: inf at some radii, nan
         # at others.
         wild = (2.6725682798628607e+235, -6.712799067421129e+72, 1.8230318269981457e-88)
-        _assert_oracle_matches([wild] * ORACLE_PRUNE_MIN, 64, 256, full_scan=False)
+        _assert_oracle_matches([wild] * 2, 64, 256, full_scan=False)
         _assert_oracle_matches(triples, 64, 256, full_scan=False)
 
 
@@ -435,6 +434,13 @@ class TestCertify:
         # A nan tol would certify nothing and an infinite one anything.
         with pytest.raises(ValueError):
             y_certify(1, 1, 1, tol)
+
+    @pytest.mark.parametrize("radial,angular", [(0, 2048), (512, 0), (10, 2048)])
+    def test_bad_grid(self, radial, angular):
+        # The grid's ValueError, as y_oracle raises, before grid_allowance
+        # divides by radial or angular.
+        with pytest.raises(ValueError):
+            y_certify(0.3, -1.2, 0.5, 1e-6, radial=radial, angular=angular)
 
     def test_random_sample(self):
         rng = np.random.default_rng(6)
