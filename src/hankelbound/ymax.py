@@ -31,7 +31,7 @@ import numpy as np
 #: Default certification grid.
 CERT_RADIAL = 512
 CERT_ANGULAR = 2048
-#: Largest y_oracle grid, in nodes per triple; 8 bytes a node per temporary.
+#: Largest grid y_oracle accepts, as (radial + 1) times its distinct cosines; not a memory bound.
 MAX_ORACLE_NODES = 10 ** 7
 
 
@@ -54,6 +54,7 @@ class YResult:
 
 def y_closed_form(A: float, B: float, C: float) -> YResult:
     """Piecewise maximum; first satisfied condition (top to bottom) wins."""
+    A, B, C = float(A), float(B), float(C)  # numpy scalars would warn where floats give inf
     aA, aB, aC = abs(A), abs(B), abs(C)
     sA, sB = math.copysign(1.0, A), math.copysign(1.0, B)
 
@@ -244,8 +245,8 @@ def _circle_maxima(a, b, c, r, r2):
 
 
 def _pruned_max(a, b, c, r, r2, pad):
-    """The grid maximum of each row of the (n, 1) columns a, b, c, from only the radii
-    that can hold it, in chunks of about ``ORACLE_CHUNK`` elements; see ``y_oracle``."""
+    """The grid maximum of each row of the (n, 1) columns a, b, c from the radii that can hold
+    it, in chunks; the fine pass folds each block's maximum into its triple's best, in any order."""
     out = np.empty(a.shape[0])
     radial = r.size - 1
     edges = np.minimum(np.arange(0, radial + ORACLE_STRIDE, ORACLE_STRIDE), radial)
@@ -266,16 +267,11 @@ def _pruned_max(a, b, c, r, r2, pad):
         del g, bound  # the fine pass's temporaries come on top of these
         for f in range(0, tri.size, fine_step):
             i, j = tri[f:f + fine_step], inner[blocks[f:f + fine_step]]
-            k = i + lo
-            fine = np.max(_circle_values(a[k], b[k], c[k], r[j], r2[j], pad), axis=1)
-            # tri is sorted: reduce each triple's blocks, then fold into best.
-            first = np.flatnonzero(np.diff(i, prepend=-1))
-            i = i[first]
-            best[i] = np.maximum(best[i], np.maximum.reduceat(fine, first))
-        out[rows] = best
+            np.maximum.at(best, i, _circle_values(x[i], y[i], z[i], r[j], r2[j], pad).max(axis=1))
         # A triple that is not ``_tame`` (a nan, an inf, S too large): every radius, as one triple.
-        for i in np.flatnonzero(~tame[:, 0]) + lo:
-            out[i] = _circle_values(a.item(i), b.item(i), c.item(i), r, r2, pad).max()
+        for i in np.flatnonzero(~tame[:, 0]):
+            best[i] = _circle_values(x.item(i), y.item(i), z.item(i), r, r2, pad).max()
+        out[rows] = best
     return out
 
 
@@ -303,8 +299,8 @@ def y_oracle(A: float | np.ndarray, B: float | np.ndarray, C: float | np.ndarray
     g_hi + lip (r_hi - r)) <= (g_lo + g_hi)/2 + lip w/2.  The fine pass
     evaluates the interior radii of the blocks where that bound plus a margin
     reaches the best coarse value; every radius it skips is below the maximum.
-    Each element takes the same float operations on every path, so none
-    changes a bit.
+    Each block's maximum folds into its triple's best in any order, and each
+    element takes the same float operations on every path, so no bit changes.
 
     The margin, ``_margin`` = 1e-6 (1 + S), S = |A| + |B| + |C|, covers
     rounding.  Below ``ORACLE_PRUNE_SCALE`` every term of Q_j is at most S^2
@@ -355,13 +351,13 @@ def y_certify(A: float, B: float, C: float, tol: float,
     if not 0.0 < tol < math.inf:  # a nan tol certifies nothing, an infinite one anything
         raise ValueError("tol must be positive and finite")
     r, r2, _ = _oracle_nodes(radial, angular)  # a bad grid raises before the allowance divides
+    A, B, C = float(A), float(B), float(C)
     closed = y_closed_form(A, B, C).value
     allowed = tol + grid_allowance(B, C, radial, angular)
-    a, b, c = float(A), float(B), float(C)
-    if _tame(a, b, c):
-        top = float(_circle_maxima(a, b, c, r, r2).max())
-        margin = _margin(a, b, c)
-        lo, hi = top - (abs(b) + 2.0 * abs(c)) * math.pi / angular - margin, top + margin
+    if _tame(A, B, C):
+        top = float(_circle_maxima(A, B, C, r, r2).max())
+        margin = _margin(A, B, C)
+        lo, hi = top - (abs(B) + 2.0 * abs(C)) * math.pi / angular - margin, top + margin
         inside = closed - allowed <= lo and hi <= closed + allowed
         if inside or hi < closed - allowed or closed + allowed < lo:
             return inside

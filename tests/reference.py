@@ -3,8 +3,9 @@
 The tests check the program against these: the series quotient, the
 degree-1 and degree-2 rational Caratheodory representatives, a runtime
 positivity falsifier for truncated Caratheodory expansions, and the rotation
-e^{-i*theta} f(e^{i*theta} z) of a coefficient triple.  Neither the
-command line nor the benchmark calls them.
+e^{-i*theta} f(e^{i*theta} z) of a coefficient triple.  Several test
+modules also draw their random family members and Schur parameters here.
+Neither the command line nor the benchmark calls any of them.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import cmath
 
 import numpy as np
 
-from hankelbound.caratheodory import _COEFF_SLACK, _DISK_SLACK, InvalidParameterError
-from hankelbound.families import CoeffTriple
+from hankelbound.caratheodory import _COEFF_SLACK, _DISK_SLACK, InvalidParameterError, SchurParams
+from hankelbound.families import CoeffTriple, Ozaki, Robertson, Spirallike
 from hankelbound.series import DEFAULT_ORDER, PowerSeries, SeriesDomainError
 
 
@@ -84,3 +85,20 @@ def rotate(a: CoeffTriple, theta: float) -> CoeffTriple:
     """Coefficients of e^{-i*theta} f(e^{i*theta} z)."""
     w = cmath.exp(1j * theta)
     return CoeffTriple(w * a.a2, w * w * a.a3, w ** 3 * a.a4)
+
+
+def random_spec(rng, tag):
+    """A family member drawn from rng, of the family named by tag."""
+    if tag == "spirallike":
+        return Spirallike(rng.uniform(0, 0.95), rng.uniform(-1.4, 1.4))
+    if tag == "ozaki":
+        return Ozaki(rng.uniform(0.05, 1.0))
+    return Robertson(rng.uniform(0.5, 1.0))
+
+
+def random_params(rng) -> SchurParams:
+    """Schur parameters drawn from rng: p1 in [0, 1), p2 and p3 in the open disk."""
+    p1 = rng.uniform(0, 1)
+    p2 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    p3 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return SchurParams(p1, p2, p3)

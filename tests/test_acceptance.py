@@ -25,7 +25,7 @@ from hankelbound.hankel import h21
 from hankelbound.search import global_max
 from hankelbound.series import PowerSeries, log_unit
 from hankelbound.ymax import grid_allowance, y_closed_form, y_oracle
-from reference import rotate
+from reference import random_params, random_spec, rotate
 
 GAP_TOL = 5e-4
 GAP_FLOOR = 1e-9
@@ -35,21 +35,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def random_params(rng) -> SchurParams:
-    p1 = rng.uniform(0, 1)
-    p2 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    p3 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return SchurParams(p1, p2, p3)
-
-
-def random_spec(rng, tag):
-    if tag == "spirallike":
-        return Spirallike(rng.uniform(0, 0.95), rng.uniform(-1.4, 1.4))
-    if tag == "ozaki":
-        return Ozaki(rng.uniform(0.05, 1.0))
-    return Robertson(rng.uniform(0.5, 1.0))
 
 
 def check_global_max(name, spec, target):

@@ -10,14 +10,7 @@ from hankelbound.caratheodory import (
 from hankelbound import search
 from hankelbound.families import Ozaki, coeffs_ode_oracle
 from hankelbound.series import PowerSeries, exp_unit, log_unit
-from reference import div, rep_degree1, rep_degree2, validate_caratheodory
-
-
-def random_params(rng) -> SchurParams:
-    p1 = rng.uniform(0, 1)
-    p2 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    p3 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return SchurParams(p1, p2, p3)
+from reference import div, random_params, rep_degree1, rep_degree2, validate_caratheodory
 
 
 class TestCFromParams:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hankelbound.caratheodory import CTriple, SchurParams, c_from_params
+from hankelbound.caratheodory import CTriple, c_from_params
 from hankelbound.families import (
     CoeffTriple,
     Ozaki,
@@ -18,24 +18,13 @@ from hankelbound.families import (
 )
 from hankelbound.hankel import h21
 from hankelbound.series import PowerSeries, exp_unit, log_unit
-from reference import rep_degree1
+from reference import random_params, random_spec, rep_degree1
 
 HALF_PLANE = CTriple(2.0, 2.0, 2.0)
 
 
 def random_ctriple(rng) -> CTriple:
-    p1 = rng.uniform(0, 1)
-    p2 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    p3 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return c_from_params(SchurParams(p1, p2, p3))
-
-
-def random_spec(rng, tag):
-    if tag == "spirallike":
-        return Spirallike(rng.uniform(0, 0.95), rng.uniform(-1.4, 1.4))
-    if tag == "ozaki":
-        return Ozaki(rng.uniform(0.05, 1.0))
-    return Robertson(rng.uniform(0.5, 1.0))
+    return c_from_params(random_params(rng))
 
 
 class TestParameterRanges:

@@ -32,14 +32,7 @@ from hankelbound.search import (
     sweep,
 )
 from hankelbound.ymax import y_closed_form
-
-
-def random_spec(rng, tag):
-    if tag == "spirallike":
-        return Spirallike(rng.uniform(0, 0.95), rng.uniform(-1.4, 1.4))
-    if tag == "ozaki":
-        return Ozaki(rng.uniform(0.05, 1.0))
-    return Robertson(rng.uniform(0.5, 1.0))
+from reference import random_spec
 
 
 def envelope_value(env, p2, p3):

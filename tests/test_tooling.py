@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "hankelbound").glob("*.py"))
 INIT = ROOT / "src" / "hankelbound" / "__init__.py"
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+REFERENCE = ROOT / "tests" / "reference.py"
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -54,6 +56,16 @@ def test_every_definition_is_used_by_the_program(path):
               and node.name not in outside.union(
                   *(_names(other) for other in tree.body if other is not node))]
     assert not unused, f"{path.name}: named by neither src/ nor bench/: {unused}"
+
+
+def test_every_reference_is_used_by_a_test():
+    # tests/reference.py holds only what the tests use: each top-level
+    # function there is named in some tests/test_*.py module.
+    tree = ast.parse(REFERENCE.read_text(), filename=str(REFERENCE))
+    named = set().union(*(_names(ast.parse(p.read_text(), filename=str(p))) for p in TESTS))
+    unused = [node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name not in named]
+    assert not unused, f"reference.py: named by no test module: {unused}"
 
 
 def test_search_rounds_are_array_passes(monkeypatch):

@@ -41,6 +41,26 @@ class TestClosedForm:
         assert res.value == pytest.approx(2.0)
         assert res.case_label is YCase.R_SQRT
 
+    def test_numpy_scalar_tiny_c(self):
+        # 1 / (C * C) overflows: numpy scalars would warn, Python floats give inf silently.
+        triple = (np.float64(0.5), 0.5, np.float64(-1e-160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = y_closed_form(*triple)
+            assert y_certify(*triple, 1e-6)
+        assert res == YResult(1.5625, YCase.NEG_SECOND, 0.25)
+        assert type(res.value) is float
+
+    def test_numpy_scalars_give_the_float_result(self):
+        rng = np.random.default_rng(29)
+        for t in [*map(tuple, rng.uniform(-3.0, 3.0, (3000, 3)).tolist()), *DEGENERATE]:
+            want, got = y_closed_form(*t), y_closed_form(*map(np.float64, t))
+            assert got.case_label is want.case_label, t
+            assert (type(got.value), type(got.z)) == (type(want.value), type(want.z)), t
+            bits = [np.array([r.value, complex(r.z).real, complex(r.z).imag]).view(np.int64)
+                    for r in (got, want)]
+            assert np.array_equal(*bits), t
+
 
 def sample_triples(rng):
     """Uniform triples at three scales, and every triple over a small value
