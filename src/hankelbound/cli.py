@@ -8,9 +8,10 @@ Subcommands:
   extremal      extremal-function coefficients and equality residual
   gamma         logarithmic coefficients and H_{2,1} by both routes
 
-Exit status: 0 pass, 1 verification failure or failed internal cross-check,
-2 usage or range error.  The --tol of verify, sweep and extremal is relative
-to the bound, and a bound below the smallest normal float fails.
+Exit status: 0 when the report's summary passes, 1 when it fails or an internal
+cross-check fails, 2 usage or range error.  The --tol of verify, sweep and
+extremal is relative to the bound, and a bound below the smallest normal float
+fails.
 Machine output: complex numbers are serialized as [re, im]; JSON output is
 byte-stable for identical configurations (seeds included in the report).
 """
@@ -70,7 +71,8 @@ def _family_from_args(args: argparse.Namespace) -> FamilySpec:
 
 
 def _finite(text: str, positive: bool = False) -> float:
-    """argparse type of --alpha, --beta, --nu and --lambda: a finite float."""
+    """argparse type of --alpha, --beta, --nu, --lambda, of --tol (through
+    ``_tolerance``) and of each --values item: a finite float."""
     try:
         value = float(text)
     except ValueError:
@@ -99,13 +101,7 @@ def _count(text: str) -> int:
 
 def _values(text: str) -> list[float]:
     """argparse type of --values: 1 to MAX_SWEEP_VALUES comma-separated numbers."""
-    values = []
-    for item in text.split(","):
-        if item.strip():
-            try:
-                values.append(float(item))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"not a number: {item!r}") from None
+    values = [_finite(item) for item in text.split(",") if item.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"no value given in {text!r}")
     if len(values) > MAX_SWEEP_VALUES:
@@ -171,12 +167,14 @@ def _emit(payload: dict[str, Any], args: argparse.Namespace) -> None:
 
 
 def _payload(command: str, config: dict[str, Any], results: list[dict[str, Any]],
-             ok: bool, worst: float) -> dict[str, Any]:
+             verdicts: list[tuple[bool, float]]) -> dict[str, Any]:
+    """The report; its summary passes when every (pass, residual) verdict does."""
     return {
         "command": command,
         "config": config,
         "results": results,
-        "summary": {"pass": bool(ok), "worst_residual": float(worst)},
+        "summary": {"pass": all(ok for ok, _ in verdicts),
+                    "worst_residual": float(max(worst for _, worst in verdicts))},
     }
 
 
@@ -188,33 +186,30 @@ def _judge(gap: float, bound: float, tol: float) -> tuple[bool, float]:
     return bound >= sys.float_info.min and GAP_FLOOR <= rel <= tol, rel
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     spec = _family_from_args(args)
     rep = global_max(spec, coarse=args.coarse, refine_rounds=args.refine_rounds)
-    ok, worst = _judge(rep.gap, rep.bound, args.tol)
     config = family_fields(spec)
     config.update(coarse=args.coarse, refine_rounds=args.refine_rounds, tol=args.tol)
-    _emit(_payload("verify", config, [_report_row(rep)], ok, worst), args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _payload("verify", config, [_report_row(rep)],
+                    [_judge(rep.gap, rep.bound, args.tol)])
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> dict[str, Any]:
     # --values holds the first parameter; a bad one exits 2 before any search.
     swept = next(iter(FAMILIES[args.family][1].values()))
     specs = [_family_from_args(argparse.Namespace(**{**vars(args), swept: v}))
              for v in args.values]
     reports = sweep(specs, coarse=args.coarse, refine_rounds=args.refine_rounds)
-    verdicts, rels = zip(*(_judge(rep.gap, rep.bound, args.tol) for rep in reports))
-    ok, worst = all(verdicts), max(rels)
     names = ("family", "values", "beta", "coarse", "refine_rounds", "tol")
     config = {name: getattr(args, name) for name in names}
-    payload = _payload("sweep", config, [_report_row(r) for r in reports], ok, worst)
+    payload = _payload("sweep", config, [_report_row(r) for r in reports],
+                       [_judge(r.gap, r.bound, args.tol) for r in reports])
     payload["summary"]["bound_monotonicity"] = bound_monotonicity(reports)
-    _emit(payload, args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return payload
 
 
-def cmd_ymax_certify(args: argparse.Namespace) -> int:
+def cmd_ymax_certify(args: argparse.Namespace) -> dict[str, Any]:
     _oracle_nodes(args.radial, args.angular)  # check the grid before any draw
     rng = np.random.default_rng(args.seed)
     triples = rng.uniform(-5.0, 5.0, size=(args.n, 3))
@@ -230,7 +225,6 @@ def cmd_ymax_certify(args: argparse.Namespace) -> int:
     at = int(np.argmax(disc))
     worst = float(disc[at])
     worst_triple = triples[at].tolist() if worst > 0.0 else [0.0, 0.0, 0.0]
-    ok = passed == args.n
     config = {name: getattr(args, name) for name in ("n", "seed", "tol", "radial", "angular")}
     results = [{
         "n": args.n,
@@ -239,17 +233,15 @@ def cmd_ymax_certify(args: argparse.Namespace) -> int:
         "worst_triple": worst_triple,
         "cases": cases,
     }]
-    _emit(_payload("ymax-certify", config, results, ok, worst), args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _payload("ymax-certify", config, results, [(passed == args.n, worst)])
 
 
-def cmd_extremal(args: argparse.Namespace) -> int:
+def cmd_extremal(args: argparse.Namespace) -> dict[str, Any]:
     spec = _family_from_args(args)
     a = extremal_coeffs(spec)
     bound = sharp_bound(spec)
     value = abs(h21(a))
     residual = abs(value - bound)
-    ok, worst = _judge(residual, bound, args.tol)
     config = family_fields(spec)
     config["tol"] = args.tol
     row = family_fields(spec)
@@ -257,11 +249,10 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         a2=_cx(a.a2), a3=_cx(a.a3), a4=_cx(a.a4),
         abs_h21=value, bound=bound, residual=residual,
     )
-    _emit(_payload("extremal", config, [row], ok, worst), args)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _payload("extremal", config, [row], [_judge(residual, bound, args.tol)])
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
+def cmd_gamma(args: argparse.Namespace) -> dict[str, Any]:
     if args.koebe:
         a = CoeffTriple(2.0, 3.0, 4.0)
         source = "koebe"
@@ -292,9 +283,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         "h21_monomial_path": _cx(via_monomial),
         "path_residual": residual,
     }
-    config = {"source": source}
-    _emit(_payload("gamma", config, [row], True, residual), args)
-    return EXIT_PASS
+    # h21 raised PathMismatchError already if the two paths disagree.
+    return _payload("gamma", {"source": source}, [row], [(True, residual)])
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -373,16 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, write its report and return its exit status."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        _emit(payload, args)
     except PathMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (OSError, ValueError) as exc:  # an unwritable --out is found after the work
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_PASS if payload["summary"]["pass"] else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ def coeffs_ode_oracle(spec: FamilySpec, p: PowerSeries) -> CoeffTriple:
     reference to the closed form: log(f/z) for S*(phi), or log f' for C(phi),
     is sum_n (B1/2) p_n/n z^n, and one exp gives f(z)/z or f'(z).  It uses
     phi(w) - 1 = (B1/2)(p - 1), which holds only for rows with B1 = B2 = B3;
-    composing phi with w = (p - 1)/(p + 1), by ``series.div``, lifts that."""
+    composing phi with w = (p - 1)/(p + 1), by ``div`` of tests/reference.py, lifts that."""
     if not abs(p[0] - 1.0) <= 1e-12:
         raise SeriesDomainError("driving function must have constant term 1")
     if p.order < 3:

@@ -104,10 +104,9 @@ def sweep(specs, coarse: int = 128, refine_rounds: int = 3) -> list[SearchReport
     and its argmax ties break toward smaller p1 (first hit in scan order)."""
     if not 64 <= coarse <= MAX_COARSE:
         raise ValueError(f"coarse must lie in [64, {MAX_COARSE}], got {coarse!r}")
-    if refine_rounds < 2:
-        raise ValueError("refine_rounds must be >= 2")
-    if refine_rounds > MAX_REFINE_ROUNDS:
-        raise ValueError(f"refine_rounds must be <= {MAX_REFINE_ROUNDS}, got {refine_rounds!r}")
+    if not 2 <= refine_rounds <= MAX_REFINE_ROUNDS:
+        raise ValueError(
+            f"refine_rounds must lie in [2, {MAX_REFINE_ROUNDS}], got {refine_rounds!r}")
     specs = list(specs)
     if not specs:
         return []

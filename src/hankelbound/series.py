@@ -49,10 +49,6 @@ class PowerSeries:
         out[:n] = src[:n]
         return cls(out)
 
-    @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> "PowerSeries":
-        return cls.from_poly([1.0], order)
-
     @property
     def order(self) -> int:
         return self.coeffs.size - 1

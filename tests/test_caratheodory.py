@@ -88,14 +88,14 @@ class TestValidate:
         assert not validate_caratheodory(p, RADIUS, 720)
 
     def test_constant_one(self):
-        assert validate_caratheodory(PowerSeries.one(4), 0.5, 16)
+        assert validate_caratheodory(PowerSeries.from_poly([1.0], 4), 0.5, 16)
 
     def test_coefficient_bound_violation(self):
         assert not validate_caratheodory(PowerSeries.from_poly([1, 3], 4), 0.99, 720)
 
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
-            validate_caratheodory(PowerSeries.one(4), 1.5, 16)
+            validate_caratheodory(PowerSeries.from_poly([1.0], 4), 1.5, 16)
 
 
 class TestInvariants:

@@ -476,6 +476,74 @@ def test_malformed_number_names_the_input(capsys, option):
     assert "invalid _" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("option", _checked_options())
+def test_non_finite_number_exits_2_through_argparse(capsys, no_search, option, value):
+    # Every float the CLI reads goes through one rule, --values items included,
+    # so no non-finite item reaches a family check that names "nu", not the input.
+    with pytest.raises(SystemExit) as exc:
+        main([*option.split(), value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option.split()[1]}" in captured.err
+    assert repr(value) in captured.err
+
+
+def _summary_pass(out, fmt):
+    """summary.pass as the report in ``fmt`` states it."""
+    if fmt == "json":
+        return json.loads(out)["summary"]["pass"]
+    if fmt == "csv":
+        (verdict,) = {row["summary_pass"] for row in csv.DictReader(io.StringIO(out))}
+        return {"True": True, "False": False}[verdict]
+    (line,) = [line for line in out.splitlines() if line.startswith("pass: ")]
+    return {"pass: True": True, "pass: False": False}[line]
+
+
+class TestOneExitRule:
+    """Each command returns its report; ``main`` alone writes it and exits 0
+    exactly when its summary passes, 1 otherwise."""
+
+    COMMANDS = [
+        (["verify", "--family", "ozaki", "--nu", "0.5", "--coarse", "64"], True),
+        (["verify", "--family", "ozaki", "--nu", "0.2", "--tol", "1e-300"], False),
+        (["sweep", "--family", "robertson", "--values", "0.5,1"], True),
+        (["sweep", "--family", "robertson", "--values", "0.5,1", "--tol", "1e-300"], False),
+        (["ymax-certify", "--n", "20", "--seed", "3"], True),
+        (["extremal", "--family", "spirallike", "--alpha", "0.2", "--beta", "0.3"], True),
+        (["extremal", "--family", "robertson", "--lambda", "0.75", "--tol", "1e-300"], False),
+        (["gamma", "--koebe"], True),
+        (["gamma", "--family", "ozaki", "--nu", "0.5"], True),
+    ]
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS])
+    def test_command_returns_its_report_and_prints_nothing(self, capsys, argv):
+        args = cli.build_parser().parse_args(argv)
+        payload = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert isinstance(payload, dict)
+        assert list(payload) == ["command", "config", "results", "summary"]
+        assert payload["command"] == argv[0]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("argv, passes", COMMANDS)
+    def test_exit_code_is_the_summary(self, capsys, argv, passes, fmt):
+        code, out = run(capsys, [*argv, "--format", fmt])
+        assert _summary_pass(out, fmt) is passes
+        assert code == (0 if passes else 1)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_failing_ymax_certify_exits_1(self, capsys, monkeypatch, fmt):
+        # A grid maximum 1 above the lemma's fails every triple.  A gamma report
+        # always passes: its one failure, a path mismatch, prints no report
+        # (TestGamma.test_path_mismatch_exits_1).
+        monkeypatch.setattr(cli, "y_oracle", lambda *a, **kw: ymax.y_oracle(*a, **kw) + 1.0)
+        code, out = run(capsys, ["ymax-certify", "--n", "20", "--seed", "3", "--format", fmt])
+        assert _summary_pass(out, fmt) is False
+        assert code == 1
+
+
 class TestParserReuse:
     COMMANDS = [
         ["verify", "--family", "ozaki", "--nu", "0.5", "--coarse", "64"],

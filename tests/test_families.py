@@ -66,7 +66,7 @@ class TestClosedForm:
 
 class TestOdeOracle:
     def test_constant_driver_gives_identity(self):
-        p = PowerSeries.one(4)
+        p = PowerSeries.from_poly([1.0], 4)
         for spec in (Spirallike(0.2, 0.3), Ozaki(0.8), Robertson(0.6)):
             a = coeffs_ode_oracle(spec, p)
             assert abs(a.a2) + abs(a.a3) + abs(a.a4) <= 1e-14

@@ -29,18 +29,18 @@ class TestDiv:
         coeffs_close(div(a, a), [1, 0, 0, 0])
 
     def test_binomial_series(self):
-        one = PowerSeries.one(3)
+        one = PowerSeries.from_poly([1.0], 3)
         den = PowerSeries.from_poly(np.convolve([1, -1], [1, -1]), 3)  # (1 - z)^2
         coeffs_close(div(one, den), [1, 2, 3, 4])
 
     def test_zero_constant_term_raises(self):
         with pytest.raises(SeriesDomainError):
-            div(PowerSeries.one(3), PowerSeries.from_poly([0, 1], 3))
+            div(PowerSeries.from_poly([1.0], 3), PowerSeries.from_poly([0, 1], 3))
 
 
 class TestLogExp:
     def test_log_of_one(self):
-        coeffs_close(log_unit(PowerSeries.one(5)), np.zeros(6))
+        coeffs_close(log_unit(PowerSeries.from_poly([1.0], 5)), np.zeros(6))
 
     def test_koebe_log_coefficients(self):
         # log(f/z) for the Koebe function, f/z = (1-z)^-2 = sum (n+1) z^n,
